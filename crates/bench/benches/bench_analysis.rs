@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use cpm_core::{CpmConfig, CpmKnnMonitor};
+use cpm_core::{CpmConfig, PointQuery, ShardedCpmEngine};
 use cpm_sim::{run_boxed, SimParams, SimulationInput, WorkloadKind};
 
 fn input(dim: u32) -> SimulationInput {
@@ -31,7 +31,8 @@ fn bench_delta_tradeoff(c: &mut Criterion) {
         let input = input(dim);
         group.bench_with_input(BenchmarkId::new("CPM", dim), &input, |b, input| {
             b.iter(|| {
-                let mut m = CpmKnnMonitor::new(input.params.grid_dim);
+                let mut m: ShardedCpmEngine<PointQuery> =
+                    ShardedCpmEngine::new(input.params.grid_dim, 1);
                 run_boxed(&mut m, input)
             })
         });
@@ -73,7 +74,9 @@ fn bench_ablation(c: &mut Criterion) {
     for (name, cfg) in configs {
         group.bench_with_input(BenchmarkId::new("config", name), &input, |b, input| {
             b.iter(|| {
-                let mut m = CpmKnnMonitor::with_config(input.params.grid_dim, cfg);
+                let mut m: ShardedCpmEngine<PointQuery> =
+                    ShardedCpmEngine::new(input.params.grid_dim, 1);
+                m.set_config(cfg);
                 run_boxed(&mut m, input)
             })
         });

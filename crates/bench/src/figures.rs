@@ -10,11 +10,12 @@
 
 use std::time::Instant;
 
-use cpm_core::ann::{AggregateFn, AnnQuery, CpmAnnMonitor};
-use cpm_core::constrained::{ConstrainedQuery, CpmConstrainedMonitor};
-use cpm_core::{CpmConfig, CpmKnnMonitor, SpecEvent};
+use cpm_core::ann::{AggregateFn, AnnQuery};
+use cpm_core::constrained::ConstrainedQuery;
+use cpm_core::{CpmConfig, CpmServerBuilder, PointQuery, QuerySpec, ShardedCpmEngine, SpecEvent};
 use cpm_gen::SpeedClass;
 use cpm_geom::{Point, QueryId, Rect};
+use cpm_grid::ObjectEvent;
 use cpm_sim::{
     run, run_boxed, run_contenders, AlgoKind, RunReport, SimParams, SimulationInput, WorkloadKind,
 };
@@ -52,6 +53,42 @@ fn note_params(t: &mut Table, p: &SimParams) {
 
 fn total_ms(r: &RunReport) -> f64 {
     r.processing_time.as_secs_f64() * 1e3
+}
+
+/// A sequential engine at the workload's grid resolution, loaded with its
+/// initial object population (the Section 5 extensions install their own
+/// queries on it).
+fn engine_over<S: QuerySpec + Send + Sync>(
+    params: &SimParams,
+    input: &SimulationInput,
+) -> ShardedCpmEngine<S> {
+    let mut engine = ShardedCpmEngine::new(params.grid_dim, 1);
+    engine.populate(input.initial_objects.iter().copied());
+    engine
+}
+
+/// The network generator respawns an arrived object as a `Disappear`
+/// immediately followed by an `Appear` of the same id. The server admits
+/// one event per object per batch, so fold each pair into the equivalent
+/// `Move` (the final state is the same).
+fn fold_respawns(events: &[ObjectEvent]) -> Vec<ObjectEvent> {
+    let mut out = Vec::with_capacity(events.len());
+    let mut i = 0;
+    while i < events.len() {
+        match (events[i], events.get(i + 1)) {
+            (ObjectEvent::Disappear { id }, Some(&ObjectEvent::Appear { id: next, pos }))
+                if id == next =>
+            {
+                out.push(ObjectEvent::Move { id, to: pos });
+                i += 2;
+            }
+            (ev, _) => {
+                out.push(ev);
+                i += 1;
+            }
+        }
+    }
+    out
 }
 
 /// Figure 6.1: CPU time vs grid granularity (32² … 1024²).
@@ -340,13 +377,18 @@ pub fn analysis(scale: f64) -> Table {
         let input = SimulationInput::generate(&params);
         let model = params.cost_model();
 
-        let mut monitor = CpmKnnMonitor::new(dim);
+        let mut monitor: ShardedCpmEngine<PointQuery> = ShardedCpmEngine::new(dim, 1);
         monitor.populate(input.initial_objects.iter().copied());
         for &(qid, pos, k) in &input.initial_queries {
-            monitor.install_query(qid, pos, k);
+            monitor
+                .install(qid, PointQuery(pos), k)
+                .expect("fresh query id");
         }
         for tick in &input.ticks {
-            monitor.process_cycle(&tick.object_events, &tick.query_events);
+            monitor.process_cycle(
+                &tick.object_events,
+                &cpm_sim::knn_spec_events(&tick.query_events),
+            );
         }
 
         let mut bd = 0.0f64;
@@ -354,7 +396,7 @@ pub fn analysis(scale: f64) -> Table {
         let mut o_inf = 0.0f64;
         let mut c_sh = 0.0f64;
         let mut counted = 0usize;
-        for qid in monitor.query_ids().collect::<Vec<_>>() {
+        for qid in monitor.query_ids() {
             let st = monitor.query_state(qid).expect("installed");
             if !st.best.is_full() {
                 continue;
@@ -424,7 +466,8 @@ pub fn ablation(scale: f64) -> Table {
         let cells: Vec<f64> = configs
             .iter()
             .map(|&cfg| {
-                let mut m = CpmKnnMonitor::with_config(params.grid_dim, cfg);
+                let mut m: ShardedCpmEngine<PointQuery> = ShardedCpmEngine::new(params.grid_dim, 1);
+                m.set_config(cfg);
                 total_ms(&run_boxed(&mut m, &input))
             })
             .collect();
@@ -471,14 +514,15 @@ pub fn ann(scale: f64) -> Table {
             .collect();
 
         // CPM-ANN.
-        let mut monitor = CpmAnnMonitor::new(params.grid_dim);
-        monitor.populate(input.initial_objects.iter().copied());
+        let mut engine = engine_over::<AnnQuery>(&params, &input);
         for (i, q) in specs.iter().enumerate() {
-            monitor.install_query(QueryId(i as u32), q.clone(), params.k.min(8));
+            engine
+                .install(QueryId(i as u32), q.clone(), params.k.min(8))
+                .expect("fresh query id");
         }
         let start = Instant::now();
         for tick in &input.ticks {
-            monitor.process_cycle(&tick.object_events, &[]);
+            engine.process_cycle(&tick.object_events, &[]);
         }
         let cpm_ms = start.elapsed().as_secs_f64() * 1e3;
 
@@ -494,19 +538,19 @@ pub fn ann(scale: f64) -> Table {
         for tick in &input.ticks {
             for ev in &tick.object_events {
                 match *ev {
-                    cpm_grid::ObjectEvent::Move { id, to } => {
+                    ObjectEvent::Move { id, to } => {
                         if id.index() >= positions.len() {
                             positions.resize(id.index() + 1, None);
                         }
                         positions[id.index()] = Some(to);
                     }
-                    cpm_grid::ObjectEvent::Appear { id, pos } => {
+                    ObjectEvent::Appear { id, pos } => {
                         if id.index() >= positions.len() {
                             positions.resize(id.index() + 1, None);
                         }
                         positions[id.index()] = Some(pos);
                     }
-                    cpm_grid::ObjectEvent::Disappear { id } => positions[id.index()] = None,
+                    ObjectEvent::Disappear { id } => positions[id.index()] = None,
                 }
             }
             for q in &specs {
@@ -557,14 +601,15 @@ pub fn constrained(scale: f64) -> Table {
         vec!["ms".into()],
     );
 
-    let mut monitor = CpmConstrainedMonitor::new(params.grid_dim);
-    monitor.populate(input.initial_objects.iter().copied());
+    let mut engine = engine_over::<ConstrainedQuery>(&params, &input);
     for (i, q) in specs.iter().enumerate() {
-        monitor.install_query(QueryId(i as u32), q.clone(), params.k.min(8));
+        engine
+            .install(QueryId(i as u32), q.clone(), params.k.min(8))
+            .expect("fresh query id");
     }
     let start = Instant::now();
     for tick in &input.ticks {
-        monitor.process_cycle(&tick.object_events, &[]);
+        engine.process_cycle(&tick.object_events, &[]);
     }
     t.push_row("CPM-constrained", vec![start.elapsed().as_secs_f64() * 1e3]);
 
@@ -579,19 +624,19 @@ pub fn constrained(scale: f64) -> Table {
     for tick in &input.ticks {
         for ev in &tick.object_events {
             match *ev {
-                cpm_grid::ObjectEvent::Move { id, to } => {
+                ObjectEvent::Move { id, to } => {
                     if id.index() >= positions.len() {
                         positions.resize(id.index() + 1, None);
                     }
                     positions[id.index()] = Some(to);
                 }
-                cpm_grid::ObjectEvent::Appear { id, pos } => {
+                ObjectEvent::Appear { id, pos } => {
                     if id.index() >= positions.len() {
                         positions.resize(id.index() + 1, None);
                     }
                     positions[id.index()] = Some(pos);
                 }
-                cpm_grid::ObjectEvent::Disappear { id } => positions[id.index()] = None,
+                ObjectEvent::Disappear { id } => positions[id.index()] = None,
             }
         }
         for q in &specs {
@@ -677,7 +722,7 @@ pub fn drift(scale: f64) -> Table {
             "final dim".into(),
         ],
     );
-    let mut fixed = cpm_core::ShardedKnnMonitor::new(params.grid_dim, 1);
+    let mut fixed: ShardedCpmEngine<PointQuery> = ShardedCpmEngine::new(params.grid_dim, 1);
     let fixed_report = run_boxed(&mut fixed, &input);
     t.push_row(
         format!("fixed {}²", params.grid_dim),
@@ -688,7 +733,7 @@ pub fn drift(scale: f64) -> Table {
             params.grid_dim as f64,
         ],
     );
-    let mut adaptive = cpm_core::ShardedKnnMonitor::new(params.grid_dim, 1);
+    let mut adaptive: ShardedCpmEngine<PointQuery> = ShardedCpmEngine::new(params.grid_dim, 1);
     adaptive.set_regrid_policy(cpm_core::RegridPolicy::Auto(cpm_core::AutoRegridConfig {
         check_every: 4,
         cooldown: 8,
@@ -945,7 +990,7 @@ pub fn mixed(scale: f64) -> Table {
                 (p.y + rng.gen::<f64>() * step - step / 2.0).clamp(0.0, 1.0),
             );
             positions[i] = to;
-            events.push(cpm_grid::ObjectEvent::Move {
+            events.push(ObjectEvent::Move {
                 id: cpm_geom::ObjectId(i as u32),
                 to,
             });
@@ -1032,14 +1077,24 @@ pub fn rnn(scale: f64) -> Table {
         vec!["ms".into()],
     );
 
-    let mut monitor = cpm_core::rnn::CpmRnnMonitor::new(params.grid_dim);
-    monitor.populate(input.initial_objects.iter().copied());
+    // The six-region composition lives in the server.
+    let mut server = CpmServerBuilder::new(params.grid_dim).build();
+    server.populate(input.initial_objects.iter().copied());
     for (i, &q) in query_points.iter().enumerate() {
-        monitor.install_query(QueryId(i as u32), q);
+        let _ = server
+            .install_rnn(QueryId(i as u32), q)
+            .expect("fresh query id");
     }
+    let batches: Vec<Vec<ObjectEvent>> = input
+        .ticks
+        .iter()
+        .map(|tick| fold_respawns(&tick.object_events))
+        .collect();
     let start = Instant::now();
-    for tick in &input.ticks {
-        monitor.process_cycle(&tick.object_events, &[]);
+    for events in &batches {
+        server
+            .process_cycle(events, &[])
+            .expect("folded generator batches are valid");
     }
     t.push_row("CPM six-region", vec![start.elapsed().as_secs_f64() * 1e3]);
 
@@ -1055,14 +1110,14 @@ pub fn rnn(scale: f64) -> Table {
     for tick in &input.ticks {
         for ev in &tick.object_events {
             match *ev {
-                cpm_grid::ObjectEvent::Move { id, to } => positions[id.index()] = Some(to),
-                cpm_grid::ObjectEvent::Appear { id, pos } => {
+                ObjectEvent::Move { id, to } => positions[id.index()] = Some(to),
+                ObjectEvent::Appear { id, pos } => {
                     if id.index() >= positions.len() {
                         positions.resize(id.index() + 1, None);
                     }
                     positions[id.index()] = Some(pos);
                 }
-                cpm_grid::ObjectEvent::Disappear { id } => positions[id.index()] = None,
+                ObjectEvent::Disappear { id } => positions[id.index()] = None,
             }
         }
         let live: Vec<Point> = positions.iter().flatten().copied().collect();
@@ -1102,9 +1157,10 @@ pub fn ann_moving_sets(scale: f64) -> Table {
     });
     let mut rng = StdRng::seed_from_u64(77);
     let mut pts: Vec<Point> = (0..3).map(|_| Point::new(rng.gen(), rng.gen())).collect();
-    let mut monitor = CpmAnnMonitor::new(params.grid_dim);
-    monitor.populate(input.initial_objects.iter().copied());
-    monitor.install_query(QueryId(0), AnnQuery::new(pts.clone(), AggregateFn::Sum), 4);
+    let mut engine = engine_over::<AnnQuery>(&params, &input);
+    engine
+        .install(QueryId(0), AnnQuery::new(pts.clone(), AggregateFn::Sum), 4)
+        .expect("fresh query id");
 
     let start = Instant::now();
     for tick in &input.ticks {
@@ -1114,7 +1170,7 @@ pub fn ann_moving_sets(scale: f64) -> Table {
                 (p.y + rng.gen_range(-0.02..0.02)).clamp(0.0, 0.999),
             );
         }
-        monitor.process_cycle(
+        engine.process_cycle(
             &tick.object_events,
             &[SpecEvent::Update {
                 id: QueryId(0),
@@ -1130,9 +1186,6 @@ pub fn ann_moving_sets(scale: f64) -> Table {
         vec!["value".into()],
     );
     t.push_row("ms total", vec![ms]);
-    t.push_row(
-        "cell accesses",
-        vec![monitor.metrics().cell_accesses as f64],
-    );
+    t.push_row("cell accesses", vec![engine.metrics().cell_accesses as f64]);
     t
 }

@@ -4,7 +4,7 @@
 //!
 //! Three lanes replay the identical pre-generated stream:
 //!
-//! * **uniform-mono** — [`cpm_core::ShardedKnnMonitor`] on the
+//! * **uniform-mono** — [`cpm_core::ShardedCpmEngine`] on the
 //!   monomorphic [`cpm_grid::CellIndex`] grid at the resolution a
 //!   capacity plan provisions for the *base* population
 //!   ([`cpm_core::CostModel::optimal_dim`] at `n_base`). This is the
@@ -37,10 +37,11 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use cpm_core::{CostModel, PointQuery, ShardedCpmEngine, ShardedKnnMonitor, SpecEvent};
+use cpm_core::{CostModel, PointQuery, ShardedCpmEngine};
 use cpm_gen::{DriftConfig, DriftingHotspotWorkload, TickEvents, WorkloadConfig};
 use cpm_geom::QueryId;
-use cpm_grid::{DynIndex, GridBuilder, IndexKind, QueryEvent};
+use cpm_grid::{CellIndex, DynIndex, GridBuilder, IndexKind};
+use cpm_sim::knn_spec_events;
 
 /// Workload parameters for one three-lane backend run.
 #[derive(Debug, Clone)]
@@ -180,28 +181,6 @@ fn median_ratio(numer: &[Duration], denom: &[Duration]) -> f64 {
     ratios.get(ratios.len() / 2).copied().unwrap_or(1.0)
 }
 
-/// The [`QueryEvent`] → [`SpecEvent`] translation the legacy monitor
-/// does internally, done once per tick for the two engine lanes (it is
-/// O(query events) — negligible next to a cycle — and sharing it keeps
-/// the lanes' timed work identical).
-fn translate(query_events: &[QueryEvent]) -> Vec<SpecEvent<PointQuery>> {
-    query_events
-        .iter()
-        .map(|ev| match *ev {
-            QueryEvent::Install { id, pos, k } => SpecEvent::Install {
-                id,
-                spec: PointQuery(pos),
-                k,
-            },
-            QueryEvent::Move { id, to } => SpecEvent::Update {
-                id,
-                spec: PointQuery(to),
-            },
-            QueryEvent::Terminate { id } => SpecEvent::Terminate { id },
-        })
-        .collect()
-}
-
 /// Run all three lanes over the identical pre-generated drift stream and
 /// report both headline ratios.
 ///
@@ -233,10 +212,12 @@ pub fn run(cfg: &IndexBenchConfig) -> IndexBenchRun {
     let uniform_dim = cfg.uniform_dim();
     let quadtree_dim = cfg.quadtree_dim();
 
-    let mut mono = ShardedKnnMonitor::new(uniform_dim, cfg.shards);
+    let mut mono: ShardedCpmEngine<PointQuery, CellIndex> =
+        ShardedCpmEngine::new(uniform_dim, cfg.shards);
     mono.populate(initial_objects.iter().copied());
     for &(qid, pos, k) in &initial_queries {
-        mono.install_query(qid, pos, k);
+        mono.install(qid, PointQuery(pos), k)
+            .expect("fresh query id");
     }
     let build_dyn = |kind: IndexKind, dim: u32| {
         let grid = GridBuilder::new(dim).index(kind).build();
@@ -255,8 +236,8 @@ pub fn run(cfg: &IndexBenchConfig) -> IndexBenchRun {
 
     let (warmup, measured) = ticks.split_at(cfg.warmup_cycles.min(ticks.len()));
     for tick in warmup {
-        let spec_events = translate(&tick.query_events);
-        mono.process_cycle(&tick.object_events, &tick.query_events);
+        let spec_events = knn_spec_events(&tick.query_events);
+        mono.process_cycle(&tick.object_events, &spec_events);
         dynamic.process_cycle(&tick.object_events, &spec_events);
         quad.process_cycle(&tick.object_events, &spec_events);
     }
@@ -269,10 +250,12 @@ pub fn run(cfg: &IndexBenchConfig) -> IndexBenchRun {
     let mut quad_changes = 0usize;
 
     for (i, tick) in measured.iter().enumerate() {
-        let spec_events = translate(&tick.query_events);
-        let mut run_mono = |mono: &mut ShardedKnnMonitor| -> Vec<QueryId> {
+        // Translated once per tick, outside the timed sections, so the
+        // lanes' timed work is identical.
+        let spec_events = knn_spec_events(&tick.query_events);
+        let mut run_mono = |mono: &mut ShardedCpmEngine<PointQuery>| -> Vec<QueryId> {
             let start = Instant::now();
-            let changed = mono.process_cycle(&tick.object_events, &tick.query_events);
+            let changed = mono.process_cycle(&tick.object_events, &spec_events);
             mono_times.push(start.elapsed());
             mono_changes += changed.len();
             changed

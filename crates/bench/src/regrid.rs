@@ -5,7 +5,7 @@
 //! `peak_factor ×` that base while a single Gaussian hotspot sweeps the
 //! workspace — so the Section 4.1 cost-model optimum moves mid-run. Both
 //! lanes replay the identical pre-generated stream on
-//! [`cpm_core::ShardedKnnMonitor`]:
+//! [`cpm_core::ShardedCpmEngine`] over point k-NN queries:
 //!
 //! * **fixed** — the grid resolution a capacity plan would have
 //!   provisioned for the *base* population
@@ -37,8 +37,9 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use cpm_core::{AutoRegridConfig, CostModel, RegridPolicy, ShardedKnnMonitor};
+use cpm_core::{AutoRegridConfig, CostModel, PointQuery, RegridPolicy, ShardedCpmEngine};
 use cpm_gen::{DriftConfig, DriftingHotspotWorkload, TickEvents, WorkloadConfig};
+use cpm_sim::knn_spec_events;
 
 /// Workload parameters for one fixed-vs-adaptive run.
 #[derive(Debug, Clone)]
@@ -198,7 +199,7 @@ pub fn run(cfg: &RegridBenchConfig) -> RegridBenchRun {
 
     let fixed_dim = cfg.provisioned_dim();
     let build = |adaptive: bool| {
-        let mut m = ShardedKnnMonitor::new(fixed_dim, cfg.shards);
+        let mut m: ShardedCpmEngine<PointQuery> = ShardedCpmEngine::new(fixed_dim, cfg.shards);
         if adaptive {
             m.set_regrid_policy(RegridPolicy::Auto(AutoRegridConfig {
                 check_every: cfg.check_every,
@@ -208,7 +209,7 @@ pub fn run(cfg: &RegridBenchConfig) -> RegridBenchRun {
         }
         m.populate(initial_objects.iter().copied());
         for &(qid, pos, k) in &initial_queries {
-            m.install_query(qid, pos, k);
+            m.install(qid, PointQuery(pos), k).expect("fresh query id");
         }
         m
     };
@@ -217,8 +218,9 @@ pub fn run(cfg: &RegridBenchConfig) -> RegridBenchRun {
 
     let (warmup, measured) = ticks.split_at(cfg.warmup_cycles.min(ticks.len()));
     for tick in warmup {
-        fixed.process_cycle(&tick.object_events, &tick.query_events);
-        adaptive.process_cycle(&tick.object_events, &tick.query_events);
+        let query_events = knn_spec_events(&tick.query_events);
+        fixed.process_cycle(&tick.object_events, &query_events);
+        adaptive.process_cycle(&tick.object_events, &query_events);
     }
     // Warmup work (including any early re-grid) is not part of the
     // measured migration accounting.
@@ -233,16 +235,18 @@ pub fn run(cfg: &RegridBenchConfig) -> RegridBenchRun {
     let mut regrids_seen = 0u64;
 
     for (i, tick) in measured.iter().enumerate() {
-        let mut run_fixed = |fixed: &mut ShardedKnnMonitor| {
+        // Translated once per tick, outside the timed sections.
+        let query_events = knn_spec_events(&tick.query_events);
+        let mut run_fixed = |fixed: &mut ShardedCpmEngine<PointQuery>| {
             let start = Instant::now();
-            let changed = fixed.process_cycle(&tick.object_events, &tick.query_events);
+            let changed = fixed.process_cycle(&tick.object_events, &query_events);
             fixed_times.push(start.elapsed());
             fixed_changes += changed.len();
             changed
         };
-        let mut run_adaptive = |adaptive: &mut ShardedKnnMonitor| {
+        let mut run_adaptive = |adaptive: &mut ShardedCpmEngine<PointQuery>| {
             let start = Instant::now();
-            let changed = adaptive.process_cycle(&tick.object_events, &tick.query_events);
+            let changed = adaptive.process_cycle(&tick.object_events, &query_events);
             let elapsed = start.elapsed();
             adaptive_times.push(elapsed);
             adaptive_changes += changed.len();

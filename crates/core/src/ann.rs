@@ -14,14 +14,36 @@
 //! Corollary 5.1 (`sum`): consecutive rectangles of one direction differ by
 //! `m·δ`; Corollary 5.2 (`min`/`max`): by `δ`. Update handling is the
 //! machinery of Section 3 with `adist` in place of the Euclidean distance —
-//! provided here by instantiating the generic engine (sharded across
-//! worker threads when requested, [`crate::ShardedCpmEngine`]).
+//! provided by instantiating the generic engine with [`AnnQuery`]; hosted
+//! next to every other kind by [`crate::CpmServer::install_ann`].
+//!
+//! # Example
+//!
+//! ```
+//! use cpm_core::ann::{AggregateFn, AnnQuery};
+//! use cpm_core::CpmServerBuilder;
+//! use cpm_geom::{ObjectId, Point, QueryId};
+//!
+//! let mut server = CpmServerBuilder::new(64).build();
+//! server.populate([
+//!     (ObjectId(0), Point::new(0.30, 0.52)), // central meeting candidate
+//!     (ObjectId(1), Point::new(0.05, 0.90)),
+//! ]);
+//! let users = vec![
+//!     Point::new(0.1, 0.5),
+//!     Point::new(0.5, 0.5),
+//!     Point::new(0.3, 0.8),
+//! ];
+//! let h = server
+//!     .install_ann(QueryId(0), AnnQuery::new(users, AggregateFn::Sum), 1)
+//!     .unwrap();
+//! assert_eq!(server.result(h).unwrap()[0].id, ObjectId(0));
+//! ```
 
-use cpm_geom::{Point, QueryId};
-use cpm_grid::{CellCoord, Grid, GridGeom, Metrics, ObjectEvent};
+use cpm_geom::Point;
+use cpm_grid::{CellCoord, GridGeom};
 
-use crate::engine::{QuerySpec, SpecEvent, SpecQueryState};
-use crate::neighbors::Neighbor;
+use crate::engine::QuerySpec;
 use crate::partition::{Direction, Pinwheel};
 
 /// The aggregate function of an ANN query.
@@ -163,178 +185,17 @@ impl QuerySpec for AnnQuery {
     }
 }
 
-/// Continuous aggregate-NN monitor — a single-kind **compatibility shim**
-/// over [`crate::CpmServer`]. New code should use the server directly
-/// ([`crate::CpmServer::install_ann`]), which hosts aggregate queries next
-/// to every other kind on one shared grid; this type keeps the original
-/// per-kind surface (panicking on registry misuse where the server
-/// returns [`crate::CpmError`]).
-///
-/// User query ids must stay below the server's reserved internal band
-/// (`2³¹`, [`crate::server::RESERVED_ID_BASE`]) — ids above it are
-/// rejected, where the old dedicated engines accepted the full `u32`
-/// range.
-///
-/// # Example
-///
-/// ```
-/// use cpm_core::ann::{AggregateFn, AnnQuery, CpmAnnMonitor};
-/// use cpm_geom::{ObjectId, Point, QueryId};
-///
-/// let mut monitor = CpmAnnMonitor::new(64);
-/// monitor.populate([
-///     (ObjectId(0), Point::new(0.30, 0.52)), // central meeting candidate
-///     (ObjectId(1), Point::new(0.05, 0.90)),
-/// ]);
-/// let users = vec![
-///     Point::new(0.1, 0.5),
-///     Point::new(0.5, 0.5),
-///     Point::new(0.3, 0.8),
-/// ];
-/// monitor.install_query(QueryId(0), AnnQuery::new(users, AggregateFn::Sum), 1);
-/// let best = monitor.result(QueryId(0)).unwrap();
-/// assert_eq!(best[0].id, ObjectId(0));
-/// ```
-#[derive(Debug)]
-pub struct CpmAnnMonitor {
-    server: crate::CpmServer,
-    /// Scratch: this cycle's events lifted to the unified vocabulary.
-    event_buf: Vec<SpecEvent<crate::AnyQuerySpec>>,
-}
-
-impl CpmAnnMonitor {
-    /// Create a sequential monitor over an empty `dim × dim` grid.
-    pub fn new(dim: u32) -> Self {
-        Self::new_sharded(dim, 1)
-    }
-
-    /// Create a monitor whose per-cycle maintenance runs across
-    /// `shards ≥ 1` worker threads (`shards = 1` is sequential; results
-    /// are bit-identical for every shard count — see
-    /// [`crate::ShardedCpmEngine`]).
-    pub fn new_sharded(dim: u32, shards: usize) -> Self {
-        Self {
-            server: crate::CpmServerBuilder::new(dim).shards(shards).build(),
-            event_buf: Vec::new(),
-        }
-    }
-
-    /// Bulk-load objects before any query is installed.
-    pub fn populate<I: IntoIterator<Item = (cpm_geom::ObjectId, Point)>>(&mut self, objects: I) {
-        self.server.populate(objects);
-    }
-
-    /// Install a continuous k-ANN query and compute its initial result.
-    ///
-    /// # Panics
-    /// Panics if `id` is already installed or `k == 0`.
-    pub fn install_query(&mut self, id: QueryId, query: AnnQuery, k: usize) -> &[Neighbor] {
-        let h = self
-            .server
-            .install_ann(id, query, k)
-            .unwrap_or_else(|e| panic!("{e}"));
-        self.server.result(h).expect("just installed")
-    }
-
-    /// Terminate a query; `true` if it was installed.
-    pub fn terminate_query(&mut self, id: QueryId) -> bool {
-        self.server.terminate(id).is_ok()
-    }
-
-    /// Replace the point set of a query (some users moved): terminate +
-    /// reinstall, as in Section 3.3.
-    ///
-    /// # Panics
-    /// Panics if the query is not installed.
-    pub fn move_query(&mut self, id: QueryId, query: AnnQuery) -> &[Neighbor] {
-        self.server
-            .update_spec(id, crate::AnyQuerySpec::Ann(query))
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Run one processing cycle over object and query events.
-    pub fn process_cycle(
-        &mut self,
-        object_events: &[ObjectEvent],
-        query_events: &[SpecEvent<AnnQuery>],
-    ) -> Vec<QueryId> {
-        self.event_buf.clear();
-        // Legacy surface: a batched terminate of an id that is already
-        // gone stays a benign no-op (the server's typed surface reports
-        // it as `UnknownQuery`).
-        self.event_buf.extend(
-            query_events
-                .iter()
-                .filter(|ev| {
-                    !matches!(ev, SpecEvent::Terminate { id }
-                        if self.server.kind_of(*id).is_none())
-                })
-                .map(crate::any::wrap_event),
-        );
-        let events = std::mem::take(&mut self.event_buf);
-        // Legacy monitor surface: clamp stray coordinates and keep each
-        // object's final event, as sequential application always did,
-        // before the server's strict ingest validation.
-        let object_events = crate::server::sanitize_object_events(object_events);
-        let changed = self
-            .server
-            .process_cycle(&object_events, &events)
-            .unwrap_or_else(|e| panic!("{e}"));
-        self.event_buf = events;
-        changed
-    }
-
-    /// Current result of query `id`, ascending by aggregate distance.
-    #[must_use]
-    pub fn result(&self, id: QueryId) -> Option<&[Neighbor]> {
-        self.server.result(id)
-    }
-
-    /// Full book-keeping state of query `id`.
-    #[must_use]
-    pub fn query_state(&self, id: QueryId) -> Option<&SpecQueryState<crate::AnyQuerySpec>> {
-        self.server.query_state(id)
-    }
-
-    /// The object index.
-    #[must_use]
-    pub fn grid(&self) -> &Grid<cpm_grid::DynIndex> {
-        self.server.grid()
-    }
-
-    /// Number of installed queries.
-    #[must_use]
-    pub fn query_count(&self) -> usize {
-        self.server.query_count()
-    }
-
-    /// Merged snapshot of the work counters.
-    #[must_use]
-    pub fn metrics(&self) -> Metrics {
-        self.server.metrics()
-    }
-
-    /// Take and reset the work counters.
-    pub fn take_metrics(&mut self) -> Metrics {
-        self.server.take_metrics()
-    }
-
-    /// Verify internal invariants (test helper).
-    #[doc(hidden)]
-    pub fn check_invariants(&self) {
-        self.server.check_invariants();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cpm_geom::ObjectId;
+    use crate::{CpmServer, CpmServerBuilder};
+    use cpm_geom::{ObjectId, QueryId};
+    use cpm_grid::ObjectEvent;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn brute_force(monitor: &CpmAnnMonitor, q: &AnnQuery, k: usize) -> Vec<f64> {
-        let mut d: Vec<f64> = monitor
+    fn brute_force(server: &CpmServer, q: &AnnQuery, k: usize) -> Vec<f64> {
+        let mut d: Vec<f64> = server
             .grid()
             .iter_objects()
             .map(|(_, p)| q.adist(p))
@@ -344,13 +205,9 @@ mod tests {
         d
     }
 
-    fn assert_matches(monitor: &CpmAnnMonitor, qid: QueryId) {
-        let st = monitor.query_state(qid).unwrap();
-        let expect = brute_force(
-            monitor,
-            st.spec.as_ann().expect("ann monitor query"),
-            st.k(),
-        );
+    fn assert_matches(server: &CpmServer, qid: QueryId) {
+        let st = server.query_state(qid).unwrap();
+        let expect = brute_force(server, st.spec.as_ann().expect("ann query"), st.k());
         let got: Vec<f64> = st.result().iter().map(|n| n.dist).collect();
         assert_eq!(got.len(), expect.len());
         for (g, e) in got.iter().zip(&expect) {
@@ -368,7 +225,7 @@ mod tests {
 
     #[test]
     fn sum_ann_finds_meeting_object_fig_5_1() {
-        let mut m = CpmAnnMonitor::new(16);
+        let mut m = CpmServerBuilder::new(16).build();
         m.populate([
             (ObjectId(1), Point::new(0.15, 0.85)),
             (ObjectId(2), Point::new(0.42, 0.48)), // near the centroid
@@ -384,7 +241,7 @@ mod tests {
             ],
             AggregateFn::Sum,
         );
-        m.install_query(QueryId(0), q, 1);
+        let _ = m.install_ann(QueryId(0), q, 1).unwrap();
         assert_eq!(m.result(QueryId(0)).unwrap()[0].id, ObjectId(2));
         assert_matches(&m, QueryId(0));
         m.check_invariants();
@@ -394,10 +251,10 @@ mod tests {
     fn min_and_max_agree_with_brute_force() {
         let mut rng = StdRng::seed_from_u64(42);
         for f in [AggregateFn::Min, AggregateFn::Max, AggregateFn::Sum] {
-            let mut m = CpmAnnMonitor::new(32);
+            let mut m = CpmServerBuilder::new(32).build();
             m.populate((0..50u32).map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen()))));
             let pts = (0..4).map(|_| Point::new(rng.gen(), rng.gen())).collect();
-            m.install_query(QueryId(0), AnnQuery::new(pts, f), 3);
+            let _ = m.install_ann(QueryId(0), AnnQuery::new(pts, f), 3).unwrap();
             assert_matches(&m, QueryId(0));
             m.check_invariants();
         }
@@ -412,27 +269,24 @@ mod tests {
             .collect();
         let qp = Point::new(0.4, 0.6);
 
-        let mut plain = crate::CpmKnnMonitor::new(16);
-        plain.populate(objs.iter().copied());
-        plain.install_query(QueryId(0), qp, 5);
-
-        for f in [AggregateFn::Sum, AggregateFn::Min, AggregateFn::Max] {
-            let mut ann = CpmAnnMonitor::new(16);
-            ann.populate(objs.iter().copied());
-            ann.install_query(QueryId(0), AnnQuery::new(vec![qp], f), 5);
-            let a: Vec<_> = ann
-                .result(QueryId(0))
-                .unwrap()
-                .iter()
-                .map(|n| n.id)
-                .collect();
-            let p: Vec<_> = plain
-                .result(QueryId(0))
-                .unwrap()
-                .iter()
-                .map(|n| n.id)
-                .collect();
-            assert_eq!(a, p, "aggregate {f:?}");
+        // Both kinds share one grid: the plain k-NN query and one
+        // singleton aggregate query per function.
+        let mut server = CpmServerBuilder::new(16).build();
+        server.populate(objs.iter().copied());
+        let plain = server.install_knn(QueryId(0), qp, 5).unwrap();
+        let ids = |server: &CpmServer, id: QueryId| -> Vec<ObjectId> {
+            server.result(id).unwrap().iter().map(|n| n.id).collect()
+        };
+        let p = ids(&server, plain.into());
+        for (i, f) in [AggregateFn::Sum, AggregateFn::Min, AggregateFn::Max]
+            .into_iter()
+            .enumerate()
+        {
+            let id = QueryId(1 + i as u32);
+            let _ = server
+                .install_ann(id, AnnQuery::new(vec![qp], f), 5)
+                .unwrap();
+            assert_eq!(ids(&server, id), p, "aggregate {f:?}");
         }
     }
 
@@ -440,10 +294,10 @@ mod tests {
     fn updates_maintain_ann_results() {
         let mut rng = StdRng::seed_from_u64(0xA55);
         for f in [AggregateFn::Sum, AggregateFn::Min, AggregateFn::Max] {
-            let mut m = CpmAnnMonitor::new(16);
+            let mut m = CpmServerBuilder::new(16).build();
             m.populate((0..40u32).map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen()))));
             let pts: Vec<Point> = (0..3).map(|_| Point::new(rng.gen(), rng.gen())).collect();
-            m.install_query(QueryId(0), AnnQuery::new(pts, f), 2);
+            let _ = m.install_ann(QueryId(0), AnnQuery::new(pts, f), 2).unwrap();
 
             let mut live: Vec<u32> = (0..40).collect();
             let mut next = 40u32;
@@ -480,7 +334,7 @@ mod tests {
                         }
                     }
                 }
-                m.process_cycle(&evs, &[]);
+                m.process_cycle(&evs, &[]).unwrap();
                 m.check_invariants();
                 assert_matches(&m, QueryId(0));
             }
@@ -489,7 +343,7 @@ mod tests {
 
     #[test]
     fn moving_the_query_set_recomputes() {
-        let mut m = CpmAnnMonitor::new(16);
+        let mut m = CpmServerBuilder::new(16).build();
         m.populate([
             (ObjectId(0), Point::new(0.2, 0.2)),
             (ObjectId(1), Point::new(0.8, 0.8)),
@@ -498,14 +352,14 @@ mod tests {
             vec![Point::new(0.1, 0.1), Point::new(0.3, 0.3)],
             AggregateFn::Max,
         );
-        m.install_query(QueryId(0), q0, 1);
-        assert_eq!(m.result(QueryId(0)).unwrap()[0].id, ObjectId(0));
+        let h = m.install_ann(QueryId(0), q0, 1).unwrap();
+        assert_eq!(m.result(h).unwrap()[0].id, ObjectId(0));
         let q1 = AnnQuery::new(
             vec![Point::new(0.7, 0.9), Point::new(0.9, 0.7)],
             AggregateFn::Max,
         );
-        m.move_query(QueryId(0), q1);
-        assert_eq!(m.result(QueryId(0)).unwrap()[0].id, ObjectId(1));
+        m.update_ann(h, q1).unwrap();
+        assert_eq!(m.result(h).unwrap()[0].id, ObjectId(1));
         m.check_invariants();
     }
 

@@ -117,26 +117,6 @@ impl From<RnnQuery> for AnyQuerySpec {
     }
 }
 
-/// Lift a concrete-spec query event into the unified vocabulary (used by
-/// the per-kind compat monitors to drive a [`crate::CpmServer`]).
-pub fn wrap_event<S: Clone + Into<AnyQuerySpec>>(
-    ev: &crate::SpecEvent<S>,
-) -> crate::SpecEvent<AnyQuerySpec> {
-    use crate::SpecEvent;
-    match ev {
-        SpecEvent::Install { id, spec, k } => SpecEvent::Install {
-            id: *id,
-            spec: spec.clone().into(),
-            k: *k,
-        },
-        SpecEvent::Update { id, spec } => SpecEvent::Update {
-            id: *id,
-            spec: spec.clone().into(),
-        },
-        SpecEvent::Terminate { id } => SpecEvent::Terminate { id: *id },
-    }
-}
-
 /// Forward one [`QuerySpec`] method to the wrapped concrete spec.
 macro_rules! dispatch {
     ($self:expr, $q:ident => $body:expr) => {

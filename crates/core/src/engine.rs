@@ -32,15 +32,24 @@
 //!    batch concurrently — that is exactly what
 //!    [`crate::ShardedCpmEngine`] does with `std::thread::scope`.
 //!
-//! [`crate::CpmKnnMonitor`] remains the specialized, paper-exact point-query
-//! implementation used in the head-to-head benchmarks against YPK-CNN and
-//! SEA-CNN; the aggregate and constrained monitors are instantiations of
-//! this engine ([`crate::ann`], [`crate::constrained`]).
+//! This is the crate's only CPM implementation: the paper's point k-NN
+//! workload is the [`PointQuery`] instantiation (the contender in the
+//! head-to-head benchmarks against YPK-CNN and SEA-CNN), and every other
+//! query kind ([`crate::ann`], [`crate::constrained`], [`crate::range`],
+//! [`crate::rnn`]) is another [`QuerySpec`] over the same machinery.
+//!
+//! One deliberate deviation from the paper's pseudo-code: the search loops
+//! terminate when the next key is *strictly greater* than `best_dist` (the
+//! paper stops at `≥`). Processing equal-key cells costs nothing in
+//! non-degenerate configurations and makes the visit list cover *every*
+//! cell of the closed influence circle, so a neighbor sitting at exactly
+//! `best_dist` always lives in a registered cell and its future updates
+//! cannot be missed.
 
 use cpm_geom::{FastHashMap, FastHashSet, ObjectId, Point, QueryId};
 use cpm_grid::{
-    apply_events, kernels, CellCoord, CellIndex, Coords, Grid, GridGeom, InfluenceTable, Metrics,
-    ObjectEvent, QueryKind, SpatialIndex, UpdateRecord,
+    kernels, CellCoord, Coords, Grid, GridGeom, InfluenceTable, Metrics, QueryKind, SpatialIndex,
+    UpdateRecord,
 };
 
 use crate::delta::{DeltaBuf, NeighborDelta};
@@ -49,7 +58,6 @@ use crate::heap::{HeapEntry, SearchHeap};
 use crate::inlist::InList;
 use crate::neighbors::{Neighbor, NeighborList};
 use crate::partition::{Direction, Pinwheel};
-use crate::regrid::{RegridController, RegridPolicy};
 
 /// Query geometry: everything the CPM machinery needs to know about a
 /// query in order to search for it and maintain its result.
@@ -122,9 +130,29 @@ pub trait QuerySpec: std::fmt::Debug + Clone {
 /// The plain point k-NN query as an engine geometry: Euclidean distance,
 /// `mindist` cell keys, the query cell as base block (Section 3).
 ///
-/// [`crate::CpmKnnMonitor`] is the hand-specialized equivalent; this spec
-/// exists so the generic machinery — in particular the sharded engine —
-/// can serve the paper's core workload.
+/// # Example
+///
+/// ```
+/// use cpm_core::{PointQuery, ShardedCpmEngine};
+/// use cpm_geom::{ObjectId, Point, QueryId};
+/// use cpm_grid::ObjectEvent;
+///
+/// // One shard is the sequential engine: no worker threads.
+/// let mut engine: ShardedCpmEngine<PointQuery> = ShardedCpmEngine::new(64, 1);
+/// engine.populate((0..100).map(|i| {
+///     (ObjectId(i), Point::new((i as f64 + 0.5) / 100.0, 0.5))
+/// }));
+/// engine.install(QueryId(0), PointQuery(Point::new(0.1042, 0.5)), 2).unwrap();
+/// assert_eq!(engine.result(QueryId(0)).unwrap()[0].id, ObjectId(10)); // x = 0.105
+///
+/// // One object teleports right next to the query point.
+/// let changed = engine.process_cycle(
+///     &[ObjectEvent::Move { id: ObjectId(50), to: Point::new(0.104, 0.5) }],
+///     &[],
+/// );
+/// assert_eq!(changed, vec![QueryId(0)]);
+/// assert_eq!(engine.result(QueryId(0)).unwrap()[0].id, ObjectId(50));
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PointQuery(pub Point);
 
@@ -198,8 +226,35 @@ impl<S> SpecEvent<S> {
     }
 }
 
-/// Book-keeping for one engine-managed query (mirrors
-/// [`crate::KnnQueryState`], with the point replaced by a [`QuerySpec`]).
+/// Ablation switches for the two book-keeping optimizations the paper
+/// introduces on top of plain conceptual-partitioning search. Both default
+/// to on; the `ablation` experiment of the bench crate measures what each
+/// buys ([`crate::ShardedCpmEngine::set_config`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CpmConfig {
+    /// Resolve updates from `best_NN − O ∪ I` when `|I| ≥ |O|` (Section
+    /// 3.3, Figure 3.8 lines 18-22). Off = every affected query searches
+    /// the grid again.
+    pub merge_optimization: bool,
+    /// Re-computation resumes the stored visit list and search heap
+    /// (Figure 3.6). Off = affected queries recompute from scratch with
+    /// Figure 3.4 (the paper's own memory-pressure fallback, Section 3.3
+    /// last paragraph).
+    pub reuse_visit_list: bool,
+}
+
+impl Default for CpmConfig {
+    fn default() -> Self {
+        Self {
+            merge_optimization: true,
+            reuse_visit_list: true,
+        }
+    }
+}
+
+/// The query-table entry of Figure 3.3a for one engine-managed query:
+/// geometry, current result, visit list and search heap (Section 3.1),
+/// plus the transient per-batch fields of Figure 3.8.
 #[derive(Debug, Clone)]
 pub struct SpecQueryState<S> {
     /// Query identifier.
@@ -311,11 +366,13 @@ pub(crate) struct EngineCore<S: QuerySpec> {
     /// capture on), so the next cycle's delta can use the list subscribers
     /// actually hold as its base.
     regrid_prelists: Vec<(QueryId, Vec<Neighbor>)>,
+    config: CpmConfig,
 }
 
 impl<S: QuerySpec> EngineCore<S> {
     pub(crate) fn new(dim: u32) -> Self {
         Self {
+            config: CpmConfig::default(),
             influence: InfluenceTable::new(dim),
             queries: FastHashMap::default(),
             metrics: Metrics::default(),
@@ -335,6 +392,11 @@ impl<S: QuerySpec> EngineCore<S> {
     /// costs one O(result) snapshot per touched query per cycle).
     pub(crate) fn set_collect_deltas(&mut self, on: bool) {
         self.collect_deltas = on;
+    }
+
+    /// Replace the ablation switches (default: both optimizations on).
+    pub(crate) fn set_config(&mut self, config: CpmConfig) {
+        self.config = config;
     }
 
     /// Whether per-cycle delta capture is on.
@@ -377,10 +439,6 @@ impl<S: QuerySpec> EngineCore<S> {
 
     pub(crate) fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    pub(crate) fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
     }
 
     pub(crate) fn take_metrics(&mut self) -> Metrics {
@@ -729,6 +787,28 @@ impl<S: QuerySpec> EngineCore<S> {
         Self::sync_influence(inf, st);
     }
 
+    /// Ablated re-computation (`reuse_visit_list` off): drop the book-kept
+    /// search state and run Figure 3.4 afresh — the paper's
+    /// memory-pressure fallback (Section 3.3). Counted as a
+    /// re-computation, not a computation.
+    fn recompute_from_scratch<I: SpatialIndex>(
+        grid: &Grid<I>,
+        inf: &mut InfluenceTable,
+        st: &mut SpecQueryState<S>,
+        metrics: &mut Metrics,
+    ) {
+        for &(cell, _) in &st.visit_list[..st.influence_len] {
+            inf.remove(cell, st.id);
+        }
+        st.influence_len = 0;
+        Self::compute_from_scratch(grid, inf, st, metrics);
+        let by_kind = &mut metrics.by_kind[st.spec.kind() as usize];
+        by_kind.computations -= 1;
+        by_kind.recomputations += 1;
+        metrics.computations -= 1;
+        metrics.recomputations += 1;
+    }
+
     fn drain_heap<I: SpatialIndex>(
         grid: &Grid<I>,
         st: &mut SpecQueryState<S>,
@@ -874,13 +954,25 @@ impl<S: QuerySpec> EngineCore<S> {
         }
         for &qid in &touched {
             let st = self.queries.get_mut(&qid).expect("touched query installed");
+            // A removal from an overflowed in_list may have discarded a
+            // candidate that now belongs in the merge set; fall back to
+            // re-computation (conservative; unreachable with one update per
+            // object per cycle).
             let unsound_in_list = st.in_list.evicted_since_clear() && st.in_removed;
+            // Ablation: with the merge optimization disabled, any touched
+            // query with a potential result change searches the grid.
+            let forced = !self.config.merge_optimization
+                && (st.out_count > 0 || st.in_list.len() > 0 || st.dirty);
 
             let mut resolved = false;
-            if unsound_in_list || st.in_list.len() < st.out_count {
+            if forced || unsound_in_list || st.in_list.len() < st.out_count {
                 self.snapshot.clear();
                 self.snapshot.extend_from_slice(st.best.neighbors());
-                Self::recompute(grid, &mut self.influence, st, &mut self.metrics);
+                if self.config.reuse_visit_list {
+                    Self::recompute(grid, &mut self.influence, st, &mut self.metrics);
+                } else {
+                    Self::recompute_from_scratch(grid, &mut self.influence, st, &mut self.metrics);
+                }
                 resolved = true;
             } else if st.out_count > 0 || st.in_list.len() > 0 {
                 self.snapshot.clear();
@@ -971,296 +1063,365 @@ impl<S: QuerySpec> EngineCore<S> {
     }
 }
 
-/// The generic conceptual-partitioning monitor.
-///
-/// All queries in one engine share the same [`QuerySpec`] type (one engine
-/// per query class); heterogeneous workloads use several engines over
-/// separate grids or share a grid externally. Internally the engine is a
-/// [`Grid`] plus a single `EngineCore` — the sharded variant
-/// ([`crate::ShardedCpmEngine`]) pairs the same grid with several cores.
-///
-/// The second type parameter selects the [`SpatialIndex`] backend and
-/// defaults to the paper-exact [`CellIndex`]; results are backend-
-/// independent (specs only consume [`GridGeom`]), so the choice is purely
-/// a performance knob. Runtime selection goes through
-/// [`CpmEngine::with_grid`] and a [`cpm_grid::DynIndex`] grid.
-#[derive(Debug)]
-pub struct CpmEngine<S: QuerySpec, I: SpatialIndex = CellIndex> {
-    grid: Grid<I>,
-    core: EngineCore<S>,
-    records: Vec<UpdateRecord>,
-    regrid: RegridController,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ShardedCpmEngine;
+    use cpm_grid::ObjectEvent;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
-impl<S: QuerySpec> CpmEngine<S> {
-    /// Create an engine over an empty `dim × dim` grid with the default
-    /// uniform backend.
-    pub fn new(dim: u32) -> Self {
-        Self::with_grid(cpm_grid::GridBuilder::new(dim).build_uniform())
+    /// The point k-NN engine at one shard: the sequential path.
+    type Engine = ShardedCpmEngine<PointQuery>;
+
+    /// Brute-force k-NN distances over the engine's own grid.
+    fn oracle(e: &Engine, q: Point, k: usize) -> Vec<f64> {
+        let mut d: Vec<f64> = e.grid().iter_objects().map(|(_, p)| q.dist(p)).collect();
+        d.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        d.truncate(k);
+        d
     }
-}
 
-impl<S: QuerySpec, I: SpatialIndex> CpmEngine<S, I> {
-    /// Create an engine over a pre-built (typically empty) grid, keeping
-    /// whatever index backend it was configured with.
-    pub fn with_grid(grid: Grid<I>) -> Self {
-        let dim = grid.dim();
-        Self {
-            grid,
-            core: EngineCore::new(dim),
-            records: Vec::new(),
-            regrid: RegridController::new(RegridPolicy::Manual),
+    fn assert_matches_oracle(e: &Engine, qid: QueryId) {
+        let st = e.query_state(qid).unwrap();
+        let expect = oracle(e, st.spec.0, st.k());
+        let got: Vec<f64> = st.result().iter().map(|n| n.dist).collect();
+        assert_eq!(got.len(), expect.len().min(st.k()), "result size");
+        for (g, e) in got.iter().zip(expect.iter()) {
+            assert!(
+                (g - e).abs() < 1e-9,
+                "distance mismatch: {got:?} vs {expect:?}"
+            );
         }
     }
 
-    /// Replace the re-grid policy (default: [`RegridPolicy::Manual`]).
-    /// With [`RegridPolicy::Auto`], the policy is evaluated at the start
-    /// of every processing cycle against the observed workload.
-    pub fn set_regrid_policy(&mut self, policy: RegridPolicy) {
-        self.regrid.set_policy(policy);
-    }
-
-    /// The active re-grid policy.
-    #[must_use]
-    pub fn regrid_policy(&self) -> &RegridPolicy {
-        self.regrid.policy()
-    }
-
-    /// Re-grid to a new resolution *now*: rebuild the cell index from the
-    /// (untouched) object store and re-register every query against the
-    /// new δ, in one deterministic pass. Results, changed lists and delta
-    /// streams stay bit-identical to an engine built at `new_dim` from
-    /// scratch. Returns the number of objects migrated (0 if `new_dim` is
-    /// the current dimension).
-    ///
-    /// # Errors
-    /// [`CpmError::InvalidDim`] if the active backend rejects `new_dim`
-    /// (out of `1..=4096`, or not a power of two for a quadtree index).
-    pub fn regrid_to(&mut self, new_dim: u32) -> Result<usize, CpmError> {
-        if new_dim == self.grid.dim() {
-            return Ok(0);
+    fn mv(id: u32, to: Point) -> ObjectEvent {
+        ObjectEvent::Move {
+            id: ObjectId(id),
+            to,
         }
-        self.grid
-            .index()
-            .kind()
-            .check_dim(new_dim)
-            .map_err(CpmError::from)?;
-        let migrated = self.grid.regrid(new_dim);
-        let metrics = self.core.metrics_mut();
-        metrics.regrids += 1;
-        metrics.regrid_objects_migrated += migrated as u64;
-        self.core.rebind_grid(&self.grid);
-        Ok(migrated)
     }
 
-    /// Evaluate the automatic policy at the cycle boundary (phase 0 of a
-    /// processing cycle). Free under the default [`RegridPolicy::Manual`]
-    /// — the observation and the O(queries) `k` sweep only run when a
-    /// policy could act on them.
-    fn maybe_auto_regrid(&mut self, object_events: usize, query_events: usize) {
-        if !self.regrid.policy().is_auto() {
-            return;
-        }
-        self.regrid.observe_cycle(
-            object_events,
-            query_events,
-            self.grid.len(),
-            self.core.query_count(),
+    /// δ = 1/8 grid with the Figure 3.2 layout (coordinates scaled by δ):
+    /// q = (4.2, 4.9)·δ in cell c4,4; p1 ∈ c3,3; p2 ∈ c2,4 is the NN.
+    fn fig_3_2_engine() -> Engine {
+        let d = 1.0 / 8.0;
+        let mut e = Engine::new(8, 1);
+        e.populate([
+            (ObjectId(1), Point::new(3.3 * d, 3.5 * d)), // p1
+            (ObjectId(2), Point::new(2.9 * d, 4.5 * d)), // p2 (the NN)
+            (ObjectId(3), Point::new(2.2 * d, 6.5 * d)), // p3, farther
+            (ObjectId(4), Point::new(5.5 * d, 6.6 * d)), // p4, farther
+        ]);
+        e.install(QueryId(0), PointQuery(Point::new(4.2 * d, 4.9 * d)), 1)
+            .unwrap();
+        e
+    }
+
+    #[test]
+    fn nn_computation_example_fig_3_2() {
+        let e = fig_3_2_engine();
+        assert_eq!(e.result(QueryId(0)).unwrap()[0].id, ObjectId(2));
+        assert_matches_oracle(&e, QueryId(0));
+        e.check_invariants();
+        let st = e.query_state(QueryId(0)).unwrap();
+        // The search processed only a neighborhood, not the whole grid.
+        assert!(st.visit_list.len() < 30, "visited {}", st.visit_list.len());
+        assert!(st.heap.boundary_boxes() <= 4);
+    }
+
+    #[test]
+    fn update_outside_best_dist_changes_nothing_fig_3_5a() {
+        let mut e = fig_3_2_engine();
+        let d = 1.0 / 8.0;
+        e.take_metrics();
+        // p4 moves from c5,6 into the influence region's vicinity (c5,3)
+        // but farther than best_dist: no result change, no recomputation.
+        let changed = e.process_cycle(&[mv(4, Point::new(5.5 * d, 3.4 * d))], &[]);
+        assert!(changed.is_empty());
+        assert_eq!(e.metrics().recomputations, 0);
+        assert_eq!(e.result(QueryId(0)).unwrap()[0].id, ObjectId(2));
+        e.check_invariants();
+    }
+
+    #[test]
+    fn outgoing_nn_triggers_recomputation_fig_3_5b() {
+        let mut e = fig_3_2_engine();
+        let d = 1.0 / 8.0;
+        // First p4 comes nearer (as in Figure 3.5a): outside best_dist but
+        // closer to q than p1, so it becomes the NN once p2 departs.
+        e.process_cycle(&[mv(4, Point::new(4.6 * d, 3.5 * d))], &[]);
+        e.take_metrics();
+        // Then the current NN p2 moves far away: q is affected and the
+        // re-computation module must find p4 as the new NN.
+        let changed = e.process_cycle(&[mv(2, Point::new(0.5 * d, 6.5 * d))], &[]);
+        assert_eq!(changed, vec![QueryId(0)]);
+        assert_eq!(e.metrics().recomputations, 1);
+        assert_eq!(e.result(QueryId(0)).unwrap()[0].id, ObjectId(4));
+        assert_matches_oracle(&e, QueryId(0));
+        e.check_invariants();
+    }
+
+    #[test]
+    fn incomer_covers_outgoer_without_recomputation_fig_3_7() {
+        let mut e = fig_3_2_engine();
+        let d = 1.0 / 8.0;
+        e.take_metrics();
+        // p2 (the NN) leaves; p3 moves closer than best_dist in the same
+        // batch. CPM must resolve this by merging, without grid search.
+        let changed = e.process_cycle(
+            &[
+                mv(2, Point::new(0.5 * d, 6.5 * d)),
+                mv(3, Point::new(3.6 * d, 4.5 * d)),
+            ],
+            &[],
         );
-        self.regrid.observe_occupancy(self.grid.stats());
-        let (n_queries, sum_k) = self.core.k_stats();
-        let avg_k = sum_k / n_queries.max(1);
-        if let Some(dim) = self.regrid.decide(
-            self.core.epoch(),
-            self.grid.len(),
-            n_queries,
-            avg_k,
-            self.grid.dim(),
-        ) {
-            // The controller's dims come from the validated policy range;
-            // a backend that rejects one (non-pow2 on a quadtree) simply
-            // skips this adjustment and re-evaluates next period.
-            let _ = self.regrid_to(dim);
+        assert_eq!(changed, vec![QueryId(0)]);
+        assert_eq!(e.metrics().recomputations, 0);
+        assert_eq!(e.metrics().merge_resolutions, 1);
+        assert_eq!(e.result(QueryId(0)).unwrap()[0].id, ObjectId(3));
+        assert_matches_oracle(&e, QueryId(0));
+        e.check_invariants();
+    }
+
+    #[test]
+    fn offline_nn_is_treated_as_outgoing() {
+        let mut e = fig_3_2_engine();
+        let changed = e.process_cycle(&[ObjectEvent::Disappear { id: ObjectId(2) }], &[]);
+        assert_eq!(changed, vec![QueryId(0)]);
+        assert_eq!(e.result(QueryId(0)).unwrap()[0].id, ObjectId(1));
+        assert_matches_oracle(&e, QueryId(0));
+        e.check_invariants();
+    }
+
+    #[test]
+    fn appearing_object_can_become_nn() {
+        let mut e = fig_3_2_engine();
+        let d = 1.0 / 8.0;
+        let changed = e.process_cycle(
+            &[ObjectEvent::Appear {
+                id: ObjectId(9),
+                pos: Point::new(4.3 * d, 4.8 * d),
+            }],
+            &[],
+        );
+        assert_eq!(changed, vec![QueryId(0)]);
+        assert_eq!(e.result(QueryId(0)).unwrap()[0].id, ObjectId(9));
+        assert_matches_oracle(&e, QueryId(0));
+        e.check_invariants();
+    }
+
+    #[test]
+    fn query_move_recomputes_from_scratch() {
+        let mut e = fig_3_2_engine();
+        let d = 1.0 / 8.0;
+        e.take_metrics();
+        let changed = e.process_cycle(
+            &[],
+            &[SpecEvent::Update {
+                id: QueryId(0),
+                spec: PointQuery(Point::new(5.4 * d, 6.4 * d)),
+            }],
+        );
+        assert_eq!(changed, vec![QueryId(0)]);
+        assert_eq!(e.metrics().computations, 1);
+        assert_eq!(e.result(QueryId(0)).unwrap()[0].id, ObjectId(4));
+        assert_matches_oracle(&e, QueryId(0));
+        e.check_invariants();
+    }
+
+    #[test]
+    fn moving_query_is_ignored_during_object_updates() {
+        let mut e = fig_3_2_engine();
+        let d = 1.0 / 8.0;
+        e.take_metrics();
+        // The NN departs *and* the query moves in the same cycle; the
+        // object update must not trigger work for the obsolete query.
+        let changed = e.process_cycle(
+            &[mv(2, Point::new(0.5 * d, 6.5 * d))],
+            &[SpecEvent::Update {
+                id: QueryId(0),
+                spec: PointQuery(Point::new(5.4 * d, 6.4 * d)),
+            }],
+        );
+        assert_eq!(changed, vec![QueryId(0)]);
+        assert_eq!(e.metrics().recomputations, 0, "obsolete query recomputed");
+        assert_eq!(e.metrics().computations, 1);
+        assert_matches_oracle(&e, QueryId(0));
+        e.check_invariants();
+    }
+
+    #[test]
+    fn terminate_clears_all_bookkeeping() {
+        let mut e = fig_3_2_engine();
+        assert_eq!(e.terminate(QueryId(0)), Ok(()));
+        assert_eq!(
+            e.terminate(QueryId(0)),
+            Err(CpmError::UnknownQuery(QueryId(0)))
+        );
+        assert_eq!(e.query_count(), 0);
+        e.check_invariants(); // influence table must be empty again
+        assert_eq!(e.space_units(), e.grid().space_units());
+    }
+
+    #[test]
+    fn k_larger_than_population() {
+        let mut e = Engine::new(16, 1);
+        e.populate([
+            (ObjectId(0), Point::new(0.1, 0.1)),
+            (ObjectId(1), Point::new(0.9, 0.9)),
+        ]);
+        e.install(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 5)
+            .unwrap();
+        assert_eq!(e.result(QueryId(0)).unwrap().len(), 2);
+        assert!(e.query_state(QueryId(0)).unwrap().best_dist().is_infinite());
+        e.check_invariants();
+        // A third object appears and must join the (still unfull) result.
+        e.process_cycle(
+            &[ObjectEvent::Appear {
+                id: ObjectId(2),
+                pos: Point::new(0.51, 0.5),
+            }],
+            &[],
+        );
+        assert_eq!(e.result(QueryId(0)).unwrap().len(), 3);
+        assert_eq!(e.result(QueryId(0)).unwrap()[0].id, ObjectId(2));
+        assert_matches_oracle(&e, QueryId(0));
+        e.check_invariants();
+    }
+
+    #[test]
+    fn empty_grid_query_is_legal() {
+        let mut e = Engine::new(8, 1);
+        e.install(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 3)
+            .unwrap();
+        assert!(e.result(QueryId(0)).unwrap().is_empty());
+        e.check_invariants();
+        e.process_cycle(
+            &[ObjectEvent::Appear {
+                id: ObjectId(0),
+                pos: Point::new(0.2, 0.2),
+            }],
+            &[],
+        );
+        assert_eq!(e.result(QueryId(0)).unwrap().len(), 1);
+        e.check_invariants();
+    }
+
+    #[test]
+    fn ablated_configurations_remain_exact() {
+        // Correctness must not depend on either optimization.
+        let mut rng = StdRng::seed_from_u64(0xAB1A);
+        for config in [
+            CpmConfig {
+                merge_optimization: false,
+                reuse_visit_list: true,
+            },
+            CpmConfig {
+                merge_optimization: true,
+                reuse_visit_list: false,
+            },
+            CpmConfig {
+                merge_optimization: false,
+                reuse_visit_list: false,
+            },
+        ] {
+            let mut e = Engine::new(16, 1);
+            e.set_config(config);
+            e.populate(
+                (0..40u32).map(|i| (ObjectId(i), Point::new(rng.gen::<f64>(), rng.gen::<f64>()))),
+            );
+            e.install(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 5)
+                .unwrap();
+            for _ in 0..20 {
+                let mut events = Vec::new();
+                let mut seen = std::collections::HashSet::new();
+                for _ in 0..rng.gen_range(1..8) {
+                    let id = rng.gen_range(0..40u32);
+                    if seen.insert(id) {
+                        events.push(mv(id, Point::new(rng.gen(), rng.gen())));
+                    }
+                }
+                e.process_cycle(&events, &[]);
+                e.check_invariants();
+                assert_matches_oracle(&e, QueryId(0));
+            }
         }
     }
 
-    /// Bulk-load objects before any query is installed.
-    ///
-    /// # Panics
-    /// Panics if queries are already installed.
-    pub fn populate<It: IntoIterator<Item = (ObjectId, Point)>>(&mut self, objects: It) {
-        assert!(
-            self.core.query_count() == 0,
-            "populate() is only valid before queries are installed"
-        );
-        for (oid, pos) in objects {
-            self.grid.insert(oid, pos);
+    #[test]
+    fn randomized_stream_matches_oracle() {
+        let mut rng = StdRng::seed_from_u64(0xC0FFEE);
+        for trial in 0..8 {
+            let dim = [4u32, 8, 16, 64][trial % 4];
+            let n_obj = 60;
+            let mut e = Engine::new(dim, 1);
+            e.populate(
+                (0..n_obj).map(|i| (ObjectId(i), Point::new(rng.gen::<f64>(), rng.gen::<f64>()))),
+            );
+            for qi in 0..6u32 {
+                let k = 1 + (qi as usize % 5) * 3;
+                let q = PointQuery(Point::new(rng.gen::<f64>(), rng.gen::<f64>()));
+                e.install(QueryId(qi), q, k).unwrap();
+            }
+            let mut live: Vec<u32> = (0..n_obj).collect();
+            let mut next_id = n_obj;
+            for _cycle in 0..30 {
+                let mut events = Vec::new();
+                let mut seen = std::collections::HashSet::new();
+                for _ in 0..rng.gen_range(0..12) {
+                    match rng.gen_range(0..10) {
+                        0 if !live.is_empty() => {
+                            let idx = rng.gen_range(0..live.len());
+                            let id = live.swap_remove(idx);
+                            if seen.insert(id) {
+                                events.push(ObjectEvent::Disappear { id: ObjectId(id) });
+                            } else {
+                                live.push(id);
+                            }
+                        }
+                        1 => {
+                            let id = next_id;
+                            next_id += 1;
+                            live.push(id);
+                            seen.insert(id);
+                            events.push(ObjectEvent::Appear {
+                                id: ObjectId(id),
+                                pos: Point::new(rng.gen(), rng.gen()),
+                            });
+                        }
+                        _ if !live.is_empty() => {
+                            let id = live[rng.gen_range(0..live.len())];
+                            if seen.insert(id) {
+                                // Mix of local jitters and teleports.
+                                let to = if rng.gen_bool(0.7) {
+                                    let p = e.grid().position(ObjectId(id)).unwrap();
+                                    Point::new(
+                                        (p.x + rng.gen_range(-0.05..0.05)).clamp(0.0, 0.999),
+                                        (p.y + rng.gen_range(-0.05..0.05)).clamp(0.0, 0.999),
+                                    )
+                                } else {
+                                    Point::new(rng.gen(), rng.gen())
+                                };
+                                events.push(mv(id, to));
+                            }
+                        }
+                        _ => {}
+                    }
+                }
+                let mut qevents = Vec::new();
+                if rng.gen_bool(0.2) {
+                    qevents.push(SpecEvent::Update {
+                        id: QueryId(rng.gen_range(0..6)),
+                        spec: PointQuery(Point::new(rng.gen(), rng.gen())),
+                    });
+                }
+                e.process_cycle(&events, &qevents);
+                e.check_invariants();
+                for qid in 0..6u32 {
+                    assert_matches_oracle(&e, QueryId(qid));
+                }
+            }
         }
-    }
-
-    /// The object index.
-    #[must_use]
-    pub fn grid(&self) -> &Grid<I> {
-        &self.grid
-    }
-
-    /// Number of installed queries.
-    #[must_use]
-    pub fn query_count(&self) -> usize {
-        self.core.query_count()
-    }
-
-    /// The current result of query `id`.
-    #[must_use]
-    pub fn result(&self, id: QueryId) -> Option<&[Neighbor]> {
-        self.core.query_state(id).map(|st| st.result())
-    }
-
-    /// Full book-keeping state of query `id`.
-    #[must_use]
-    pub fn query_state(&self, id: QueryId) -> Option<&SpecQueryState<S>> {
-        self.core.query_state(id)
-    }
-
-    /// Work counters accumulated since the last [`CpmEngine::take_metrics`].
-    #[must_use]
-    pub fn metrics(&self) -> &Metrics {
-        self.core.metrics()
-    }
-
-    /// Take and reset the work counters.
-    pub fn take_metrics(&mut self) -> Metrics {
-        self.core.take_metrics()
-    }
-
-    /// Install a new query and compute its initial result.
-    ///
-    /// # Errors
-    /// [`CpmError::DuplicateQuery`] if `id` is already installed,
-    /// [`CpmError::InvalidK`] if `k == 0`.
-    pub fn install(&mut self, id: QueryId, spec: S, k: usize) -> Result<&[Neighbor], CpmError> {
-        self.core.install(&self.grid, id, spec, k)
-    }
-
-    /// Terminate query `id`.
-    ///
-    /// # Errors
-    /// [`CpmError::UnknownQuery`] if `id` is not installed.
-    pub fn terminate(&mut self, id: QueryId) -> Result<(), CpmError> {
-        self.core.terminate(id)
-    }
-
-    /// Replace the geometry of query `id` (terminate + reinstall).
-    ///
-    /// # Errors
-    /// [`CpmError::UnknownQuery`] if `id` is not installed.
-    pub fn update_spec(&mut self, id: QueryId, spec: S) -> Result<&[Neighbor], CpmError> {
-        self.core.update_spec(&self.grid, id, spec)
-    }
-
-    /// Run one processing cycle: object events (batched update handling),
-    /// then query events. Returns ids of queries whose result changed.
-    pub fn process_cycle(
-        &mut self,
-        object_events: &[ObjectEvent],
-        query_events: &[SpecEvent<S>],
-    ) -> Vec<QueryId> {
-        assert!(
-            !self.core.collects_deltas(),
-            "this engine collects deltas: use process_cycle_with_deltas, or the delta \
-             stream silently loses this cycle's changes"
-        );
-        let mut changed = Vec::new();
-        self.run_cycle(object_events, query_events, &mut changed);
-        changed
-    }
-
-    /// The cycle body shared by [`CpmEngine::process_cycle`] and the
-    /// delta-returning variants; changed ids are appended to the caller's
-    /// buffer so recycling callers allocate nothing per cycle.
-    fn run_cycle(
-        &mut self,
-        object_events: &[ObjectEvent],
-        query_events: &[SpecEvent<S>],
-        changed: &mut Vec<QueryId>,
-    ) {
-        // Phase 0: adaptive re-grid at the cycle boundary.
-        self.maybe_auto_regrid(object_events.len(), query_events.len());
-
-        self.core.begin_cycle(query_events.iter().map(|ev| ev.id()));
-
-        // Phase 1: sequential grid ingest.
-        self.records.clear();
-        self.core.metrics_mut().updates_applied +=
-            apply_events(&mut self.grid, object_events, &mut self.records);
-
-        // Phase 2: query maintenance over the immutable grid.
-        self.core.apply_records(&self.grid, &self.records, changed);
-        self.core
-            .apply_query_events(&self.grid, query_events, changed);
-        self.core.finish_regrid(changed);
-    }
-
-    /// Turn per-cycle delta capture on (see
-    /// [`CpmEngine::process_cycle_with_deltas`]). Capture costs one
-    /// O(result) snapshot per touched query per cycle and is off by
-    /// default.
-    pub fn enable_deltas(&mut self) {
-        self.core.set_collect_deltas(true);
-    }
-
-    /// The processing-cycle counter: 0 before any cycle, incremented by
-    /// every `process_cycle` call. Delta epochs carry this value.
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.core.epoch()
-    }
-
-    /// Run one processing cycle and return the per-query result deltas
-    /// alongside the changed-query list (both ascending by query id).
-    ///
-    /// # Panics
-    /// Panics if delta capture was not enabled with
-    /// [`CpmEngine::enable_deltas`] — silently returning an empty batch
-    /// would break replay losslessness.
-    pub fn process_cycle_with_deltas(
-        &mut self,
-        object_events: &[ObjectEvent],
-        query_events: &[SpecEvent<S>],
-    ) -> crate::delta::CycleDeltas {
-        let mut out = crate::delta::CycleDeltas::default();
-        self.process_cycle_with_deltas_into(object_events, query_events, &mut out);
-        out
-    }
-
-    /// [`CpmEngine::process_cycle_with_deltas`], but refilling a
-    /// caller-owned batch so a steady-state caller that recycles the same
-    /// [`crate::CycleDeltas`] pays no per-cycle batch allocation.
-    ///
-    /// # Panics
-    /// Panics if delta capture was not enabled with
-    /// [`CpmEngine::enable_deltas`].
-    pub fn process_cycle_with_deltas_into(
-        &mut self,
-        object_events: &[ObjectEvent],
-        query_events: &[SpecEvent<S>],
-        out: &mut crate::delta::CycleDeltas,
-    ) {
-        assert!(
-            self.core.collect_deltas,
-            "enable_deltas() must be called before processing cycles with deltas"
-        );
-        out.changed.clear();
-        self.run_cycle(object_events, query_events, &mut out.changed);
-        out.changed.sort_unstable();
-        out.deltas.clear();
-        self.core.drain_deltas_into(&mut out.deltas);
-        out.canonicalize(self.core.epoch());
-    }
-
-    /// Verify all cross-structure invariants (test helper).
-    #[doc(hidden)]
-    pub fn check_invariants(&self) {
-        self.core.check_invariants(&self.grid);
     }
 }

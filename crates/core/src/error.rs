@@ -4,9 +4,11 @@
 //! Query registration is the one part of the system where caller mistakes
 //! are *expected* in production — duplicate ids from retried requests,
 //! terminations racing cancellations, k = 0 from defaulted config — so
-//! those paths return [`CpmError`] instead of panicking. Programming
-//! errors (processing a delta cycle without enabling capture, populating
-//! after installs) remain panics: they are bugs in the embedding code, not
+//! those paths return [`CpmError`] instead of panicking, and so does a
+//! server cycle call that does not match the server's delta mode.
+//! Programming errors at the engine level (processing a delta cycle on a
+//! [`crate::ShardedCpmEngine`] without enabling capture, populating after
+//! installs) remain panics: they are bugs in the embedding code, not
 //! runtime conditions to handle.
 
 use cpm_geom::{ObjectId, QueryId};
@@ -47,9 +49,8 @@ pub enum CpmError {
     /// before any state changes.
     NonFiniteCoordinate(ObjectId),
     /// An object event placed an object outside the unit workspace. The
-    /// legacy single-kind monitors clamp such positions to the boundary;
-    /// the server surface treats them as hostile input and rejects the
-    /// batch before any state changes.
+    /// server surface treats such positions as hostile input and rejects
+    /// the batch before any state changes.
     OutOfWorkspace(ObjectId),
     /// One batch contained two object events for the same id. Per-cycle
     /// semantics admit at most one event per object (the paper's update
@@ -69,6 +70,16 @@ pub enum CpmError {
         expected: IndexKind,
         /// The kind the restoring server/engine is configured with.
         actual: IndexKind,
+    },
+    /// A cycle call did not match the server's delta mode, fixed at build
+    /// time ([`crate::CpmServerBuilder::deltas`]): `process_cycle` on a
+    /// delta-capturing server would drop the cycle's deltas from the
+    /// stream, and `process_cycle_with_deltas_into` on a plain server has
+    /// none to return. The call is rejected before any state changes (and
+    /// before a durable server journals it).
+    DeltaMode {
+        /// Whether the server captures deltas.
+        server_collects: bool,
     },
 }
 
@@ -117,6 +128,19 @@ impl std::fmt::Display for CpmError {
                 "snapshot was captured under the {expected} index but is being restored \
                  under {actual}"
             ),
+            CpmError::DeltaMode { server_collects } => {
+                if server_collects {
+                    write!(
+                        f,
+                        "the server captures deltas: use process_cycle_with_deltas_into"
+                    )
+                } else {
+                    write!(
+                        f,
+                        "the server was built without delta capture: use process_cycle"
+                    )
+                }
+            }
         }
     }
 }

@@ -24,11 +24,31 @@
 //!    centered at `c` with radius `dist(c, q)` contains no other object,
 //!    checked by a grid range scan (at most six tiny scans per query per
 //!    cycle).
+//!
+//! [`crate::CpmServer::install_rnn`] owns that composition: the sector
+//! candidates live on reserved internal ids and are re-verified at the end
+//! of every cycle.
+//!
+//! # Example
+//!
+//! ```
+//! use cpm_core::CpmServerBuilder;
+//! use cpm_geom::{ObjectId, Point, QueryId};
+//!
+//! let mut server = CpmServerBuilder::new(64).build();
+//! server.populate([
+//!     (ObjectId(0), Point::new(0.52, 0.50)), // next to the query: an RNN
+//!     (ObjectId(1), Point::new(0.80, 0.80)), // its NN is object 2, not q
+//!     (ObjectId(2), Point::new(0.82, 0.80)),
+//! ]);
+//! let h = server.install_rnn(QueryId(0), Point::new(0.5, 0.5)).unwrap();
+//! assert_eq!(server.rnn_result(h).unwrap(), &[ObjectId(0)]);
+//! ```
 
 use std::f64::consts::TAU;
 
-use cpm_geom::{ObjectId, Point, QueryId, Rect};
-use cpm_grid::{CellCoord, Grid, GridGeom, Metrics, ObjectEvent, QueryEvent};
+use cpm_geom::{Point, Rect};
+use cpm_grid::{CellCoord, GridGeom};
 
 use crate::engine::QuerySpec;
 use crate::partition::{Direction, Pinwheel};
@@ -187,169 +207,12 @@ impl QuerySpec for RnnQuery {
     }
 }
 
-/// Continuous reverse-NN monitor — a **compatibility shim** over
-/// [`crate::CpmServer`], which owns the six-region composition
-/// (sector-constrained candidate queries on reserved internal ids plus
-/// per-cycle circle verification). New code should use the server
-/// directly ([`crate::CpmServer::install_rnn`]); this type keeps the
-/// original per-kind surface, including [`QueryEvent`]-driven query
-/// churn.
-///
-/// RNN ids must fit the server's sector-id mapping (roughly the bottom
-/// 357M ids; the old monitor accepted up to `u32::MAX / 6`).
-///
-/// # Example
-///
-/// ```
-/// use cpm_core::rnn::CpmRnnMonitor;
-/// use cpm_geom::{ObjectId, Point, QueryId};
-///
-/// let mut monitor = CpmRnnMonitor::new(64);
-/// monitor.populate([
-///     (ObjectId(0), Point::new(0.52, 0.50)), // next to the query: an RNN
-///     (ObjectId(1), Point::new(0.80, 0.80)), // its NN is object 2, not q
-///     (ObjectId(2), Point::new(0.82, 0.80)),
-/// ]);
-/// monitor.install_query(QueryId(0), Point::new(0.5, 0.5));
-/// assert_eq!(monitor.result(QueryId(0)).unwrap(), &[ObjectId(0)]);
-/// ```
-#[derive(Debug)]
-pub struct CpmRnnMonitor {
-    server: crate::CpmServer,
-}
-
-impl CpmRnnMonitor {
-    /// Create a sequential monitor over an empty `dim × dim` grid.
-    pub fn new(dim: u32) -> Self {
-        Self::new_sharded(dim, 1)
-    }
-
-    /// Create a monitor whose candidate maintenance (the six
-    /// sector-constrained 1-NN queries per RNN query) runs across
-    /// `shards ≥ 1` worker threads (`shards = 1` is sequential; candidate
-    /// results are bit-identical for every shard count).
-    pub fn new_sharded(dim: u32, shards: usize) -> Self {
-        Self {
-            server: crate::CpmServerBuilder::new(dim).shards(shards).build(),
-        }
-    }
-
-    /// Bulk-load objects before any query is installed.
-    pub fn populate<I: IntoIterator<Item = (ObjectId, Point)>>(&mut self, objects: I) {
-        self.server.populate(objects);
-    }
-
-    /// The object index.
-    #[must_use]
-    pub fn grid(&self) -> &Grid<cpm_grid::DynIndex> {
-        self.server.grid()
-    }
-
-    /// Combined work counters (candidate maintenance + verification).
-    #[must_use]
-    pub fn metrics(&self) -> Metrics {
-        self.server.metrics()
-    }
-
-    /// Install a continuous RNN query at `pos` and report its initial
-    /// result.
-    ///
-    /// # Panics
-    /// Panics if `id` is already installed or too large for the server's
-    /// sector-id mapping.
-    pub fn install_query(&mut self, id: QueryId, pos: Point) -> &[ObjectId] {
-        let h = self
-            .server
-            .install_rnn(id, pos)
-            .unwrap_or_else(|e| panic!("{e}"));
-        self.server.rnn_result(h).expect("just installed")
-    }
-
-    /// Terminate an RNN query; `true` if it was installed.
-    pub fn terminate_query(&mut self, id: QueryId) -> bool {
-        self.server.terminate(id).is_ok()
-    }
-
-    /// Current RNN set of query `id`, sorted by object id.
-    #[must_use]
-    pub fn result(&self, id: QueryId) -> Option<&[ObjectId]> {
-        self.server.rnn_result(id)
-    }
-
-    /// Run one processing cycle. Returns the queries whose RNN set
-    /// changed (relative to before this call, so queries installed or
-    /// moved by `query_events` report their fresh set as a change).
-    pub fn process_cycle(
-        &mut self,
-        object_events: &[ObjectEvent],
-        query_events: &[QueryEvent],
-    ) -> Vec<QueryId> {
-        // Apply query churn through the server's direct RNN surface,
-        // remembering each touched query's pre-cycle result so the
-        // changed list keeps the monitor's original semantics.
-        let mut touched: Vec<(QueryId, Vec<ObjectId>)> = Vec::new();
-        for ev in query_events {
-            match *ev {
-                QueryEvent::Install { id, pos, .. } => {
-                    touched.push((id, Vec::new()));
-                    let _ = self
-                        .server
-                        .install_rnn(id, pos)
-                        .unwrap_or_else(|e| panic!("{e}"));
-                }
-                QueryEvent::Move { id, to } => {
-                    let prev = self
-                        .server
-                        .rnn_result(id)
-                        .unwrap_or_else(|| panic!("move of unknown query {id}"))
-                        .to_vec();
-                    touched.push((id, prev));
-                    // Deferred variant: the cycle below re-verifies every
-                    // registration anyway, so the eager verification of
-                    // `update_rnn` would be computed twice and discarded.
-                    self.server
-                        .move_rnn_sectors(id, to)
-                        .unwrap_or_else(|e| panic!("{e}"));
-                }
-                QueryEvent::Terminate { id } => {
-                    let _ = self.server.terminate(id);
-                }
-            }
-        }
-        // Legacy monitor surface: clamp stray coordinates and keep each
-        // object's final event, as sequential application always did,
-        // before the server's strict ingest validation.
-        let object_events = crate::server::sanitize_object_events(object_events);
-        let mut changed = self
-            .server
-            .process_cycle(&object_events, &[])
-            .unwrap_or_else(|e| panic!("{e}"));
-        for (id, prev) in touched {
-            if self.server.rnn_result(id).is_some_and(|now| now != prev) {
-                changed.push(id);
-            }
-        }
-        changed.sort_unstable();
-        changed.dedup();
-        changed
-    }
-
-    /// Verify internal invariants (test helper).
-    #[doc(hidden)]
-    pub fn check_invariants(&self) {
-        self.server.check_invariants();
-    }
-
-    /// Number of installed RNN queries.
-    #[must_use]
-    pub fn query_count(&self) -> usize {
-        self.server.query_count()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CpmServer, CpmServerBuilder};
+    use cpm_geom::{ObjectId, QueryId};
+    use cpm_grid::ObjectEvent;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -369,7 +232,7 @@ mod tests {
         out
     }
 
-    fn live_objects(m: &CpmRnnMonitor) -> Vec<(ObjectId, Point)> {
+    fn live_objects(m: &CpmServer) -> Vec<(ObjectId, Point)> {
         m.grid().iter_objects().collect()
     }
 
@@ -448,17 +311,17 @@ mod tests {
 
     #[test]
     fn doc_example_shape() {
-        let mut m = CpmRnnMonitor::new(64);
+        let mut m = CpmServerBuilder::new(64).build();
         m.populate([
             (ObjectId(0), Point::new(0.52, 0.50)),
             (ObjectId(1), Point::new(0.80, 0.80)),
             (ObjectId(2), Point::new(0.82, 0.80)),
         ]);
-        m.install_query(QueryId(0), Point::new(0.5, 0.5));
-        assert_eq!(m.result(QueryId(0)).unwrap(), &[ObjectId(0)]);
+        let h = m.install_rnn(QueryId(0), Point::new(0.5, 0.5)).unwrap();
+        assert_eq!(m.rnn_result(h).unwrap(), &[ObjectId(0)]);
         let objs = live_objects(&m);
         assert_eq!(
-            m.result(QueryId(0)).unwrap(),
+            m.rnn_result(h).unwrap(),
             brute_rnn(&objs, Point::new(0.5, 0.5))
         );
     }
@@ -467,13 +330,15 @@ mod tests {
     fn updates_track_brute_force() {
         let mut rng = StdRng::seed_from_u64(0x4E4E);
         for trial in 0..4 {
-            let mut m = CpmRnnMonitor::new([8, 16, 32, 64][trial]);
+            let mut m = CpmServerBuilder::new([8, 16, 32, 64][trial]).build();
             let n = 30u32;
             m.populate((0..n).map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen()))));
             let q0 = Point::new(rng.gen(), rng.gen());
             let q1 = Point::new(rng.gen(), rng.gen());
-            m.install_query(QueryId(0), q0);
-            m.install_query(QueryId(1), q1);
+            let handles = [
+                m.install_rnn(QueryId(0), q0).unwrap(),
+                m.install_rnn(QueryId(1), q1).unwrap(),
+            ];
             let mut qpos = [q0, q1];
             for _ in 0..20 {
                 let mut events = Vec::new();
@@ -487,21 +352,17 @@ mod tests {
                         });
                     }
                 }
-                let mut qev = Vec::new();
                 if rng.gen_bool(0.3) {
-                    let qi = rng.gen_range(0..2u32);
-                    qpos[qi as usize] = Point::new(rng.gen(), rng.gen());
-                    qev.push(QueryEvent::Move {
-                        id: QueryId(qi),
-                        to: qpos[qi as usize],
-                    });
+                    let qi = rng.gen_range(0..2usize);
+                    qpos[qi] = Point::new(rng.gen(), rng.gen());
+                    m.update_rnn(handles[qi], qpos[qi]).unwrap();
                 }
-                m.process_cycle(&events, &qev);
+                m.process_cycle(&events, &[]).unwrap();
                 let objs = live_objects(&m);
-                for qi in 0..2u32 {
+                for qi in 0..2usize {
                     assert_eq!(
-                        m.result(QueryId(qi)).unwrap(),
-                        brute_rnn(&objs, qpos[qi as usize]),
+                        m.rnn_result(handles[qi]).unwrap(),
+                        brute_rnn(&objs, qpos[qi]),
                         "trial {trial}, query {qi}"
                     );
                 }
@@ -512,10 +373,10 @@ mod tests {
     #[test]
     fn appear_disappear_churn() {
         let mut rng = StdRng::seed_from_u64(7);
-        let mut m = CpmRnnMonitor::new(16);
+        let mut m = CpmServerBuilder::new(16).build();
         m.populate((0..10u32).map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen()))));
         let q = Point::new(0.5, 0.5);
-        m.install_query(QueryId(0), q);
+        let h = m.install_rnn(QueryId(0), q).unwrap();
         let mut live: Vec<u32> = (0..10).collect();
         let mut next = 10u32;
         for _ in 0..25 {
@@ -532,20 +393,23 @@ mod tests {
                 live.push(next);
                 next += 1;
             }
-            m.process_cycle(&events, &[]);
+            m.process_cycle(&events, &[]).unwrap();
             let objs = live_objects(&m);
-            assert_eq!(m.result(QueryId(0)).unwrap(), brute_rnn(&objs, q));
+            assert_eq!(m.rnn_result(h).unwrap(), brute_rnn(&objs, q));
         }
     }
 
     #[test]
     fn terminate_cleans_engine_state() {
-        let mut m = CpmRnnMonitor::new(16);
+        let mut m = CpmServerBuilder::new(16).build();
         m.populate([(ObjectId(0), Point::new(0.4, 0.4))]);
-        m.install_query(QueryId(3), Point::new(0.5, 0.5));
-        assert!(m.terminate_query(QueryId(3)));
-        assert!(!m.terminate_query(QueryId(3)));
-        assert!(m.result(QueryId(3)).is_none());
+        let h = m.install_rnn(QueryId(3), Point::new(0.5, 0.5)).unwrap();
+        assert_eq!(m.terminate(h), Ok(()));
+        assert_eq!(
+            m.terminate(h),
+            Err(crate::CpmError::UnknownQuery(QueryId(3)))
+        );
+        assert!(m.rnn_result(h).is_none());
         assert_eq!(m.query_count(), 0);
         // The server's invariant check asserts the six sector queries are
         // gone from the engine too.

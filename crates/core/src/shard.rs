@@ -33,12 +33,10 @@
 //! [`cpm_sim`'s oracle cross-check]: ../../cpm_sim/runner/fn.verify_sharded_determinism.html
 
 use cpm_geom::{ObjectId, Point, QueryId};
-use cpm_grid::{
-    apply_events, CellIndex, Grid, Metrics, ObjectEvent, QueryEvent, SpatialIndex, UpdateRecord,
-};
+use cpm_grid::{apply_events, CellIndex, Grid, Metrics, ObjectEvent, SpatialIndex, UpdateRecord};
 
 use crate::delta::{CycleDeltas, NeighborDelta};
-use crate::engine::{EngineCore, PointQuery, QuerySpec, SpecEvent, SpecQueryState};
+use crate::engine::{CpmConfig, EngineCore, QuerySpec, SpecEvent, SpecQueryState};
 use crate::error::CpmError;
 use crate::neighbors::Neighbor;
 use crate::regrid::{RegridController, RegridPolicy};
@@ -74,17 +72,21 @@ fn run_shard<S: QuerySpec, I: SpatialIndex>(
     (changed, core.take_deltas())
 }
 
-/// A conceptual-partitioning monitor whose per-cycle query maintenance runs
-/// across `S` worker threads (see the [module docs](self) for the phase
-/// structure).
+/// The conceptual-partitioning monitor: one shared grid plus `S ≥ 1` query
+/// shards whose per-cycle maintenance runs across worker threads (see the
+/// [module docs](self) for the phase structure). `S = 1` is the sequential
+/// engine — no routing, no worker threads.
 ///
-/// Public surface mirrors [`crate::CpmEngine`]; the only observable
-/// differences are that [`ShardedCpmEngine::process_cycle`] reports changed
-/// queries in canonical (ascending id) order and that work counters are
-/// read through merged snapshots ([`ShardedCpmEngine::metrics`]).
-/// The second type parameter selects the [`SpatialIndex`] backend
-/// (default: the paper-exact [`CellIndex`]); see [`crate::CpmEngine`] for
-/// the backend-independence contract. Runtime-selected backends go through
+/// All queries in one engine share the same [`QuerySpec`] type;
+/// heterogeneous workloads use [`crate::AnyQuerySpec`] (what
+/// [`crate::CpmServer`] does). Changed queries are reported in canonical
+/// (ascending id) order and work counters are read through merged
+/// snapshots ([`ShardedCpmEngine::metrics`]).
+///
+/// The second type parameter selects the [`SpatialIndex`] backend and
+/// defaults to the paper-exact [`CellIndex`]. Results are backend-
+/// independent (specs only consume [`cpm_grid::GridGeom`]), so the choice
+/// is purely a performance knob. Runtime-selected backends go through
 /// [`ShardedCpmEngine::with_grid`] and a [`cpm_grid::DynIndex`] grid.
 #[derive(Debug)]
 pub struct ShardedCpmEngine<S: QuerySpec, I: SpatialIndex = CellIndex> {
@@ -215,6 +217,14 @@ impl<S: QuerySpec + Send + Sync, I: SpatialIndex> ShardedCpmEngine<S, I> {
             // Backend-rejected dims (non-pow2 on a quadtree) are skipped;
             // the policy re-evaluates next period.
             let _ = self.regrid_to(dim);
+        }
+    }
+
+    /// Replace the ablation switches on every shard (default: both
+    /// book-keeping optimizations on; see [`CpmConfig`]).
+    pub fn set_config(&mut self, config: CpmConfig) {
+        for core in &mut self.shards {
+            core.set_config(config);
         }
     }
 
@@ -578,178 +588,10 @@ impl<S: QuerySpec + Send + Sync, I: SpatialIndex> ShardedCpmEngine<S, I> {
     }
 }
 
-/// The sharded engine specialized to plain point k-NN queries — the
-/// paper's core workload behind the same event vocabulary as
-/// [`crate::CpmKnnMonitor`] ([`ObjectEvent`] + [`QueryEvent`]).
-///
-/// # Example
-///
-/// ```
-/// use cpm_core::ShardedKnnMonitor;
-/// use cpm_geom::{ObjectId, Point, QueryId};
-/// use cpm_grid::ObjectEvent;
-///
-/// let mut monitor = ShardedKnnMonitor::new(64, 4);
-/// monitor.populate((0..100).map(|i| {
-///     (ObjectId(i), Point::new((i as f64 + 0.5) / 100.0, 0.5))
-/// }));
-/// monitor.install_query(QueryId(0), Point::new(0.1042, 0.5), 2);
-/// let changed = monitor.process_cycle(
-///     &[ObjectEvent::Move { id: ObjectId(50), to: Point::new(0.104, 0.5) }],
-///     &[],
-/// );
-/// assert_eq!(changed, vec![QueryId(0)]);
-/// assert_eq!(monitor.result(QueryId(0)).unwrap()[0].id, ObjectId(50));
-/// ```
-#[derive(Debug)]
-pub struct ShardedKnnMonitor {
-    engine: ShardedCpmEngine<PointQuery>,
-    /// Scratch: the cycle's [`QueryEvent`]s translated to engine events.
-    event_buf: Vec<SpecEvent<PointQuery>>,
-}
-
-impl ShardedKnnMonitor {
-    /// Create a monitor over an empty `dim × dim` grid with `shards ≥ 1`
-    /// query shards.
-    pub fn new(dim: u32, shards: usize) -> Self {
-        Self {
-            engine: ShardedCpmEngine::new(dim, shards),
-            event_buf: Vec::new(),
-        }
-    }
-
-    /// Number of query shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.engine.shard_count()
-    }
-
-    /// The shared object index.
-    #[must_use]
-    pub fn grid(&self) -> &Grid {
-        self.engine.grid()
-    }
-
-    /// Bulk-load objects before any query is installed.
-    pub fn populate<I: IntoIterator<Item = (ObjectId, Point)>>(&mut self, objects: I) {
-        self.engine.populate(objects);
-    }
-
-    /// Replace the re-grid policy (see
-    /// [`ShardedCpmEngine::set_regrid_policy`]).
-    pub fn set_regrid_policy(&mut self, policy: RegridPolicy) {
-        self.engine.set_regrid_policy(policy);
-    }
-
-    /// The active re-grid policy.
-    #[must_use]
-    pub fn regrid_policy(&self) -> &RegridPolicy {
-        self.engine.regrid_policy()
-    }
-
-    /// Re-grid to a new resolution now (see
-    /// [`ShardedCpmEngine::regrid_to`]).
-    ///
-    /// # Panics
-    /// Panics if `new_dim == 0` or `new_dim > 4096` (legacy monitor
-    /// surface; the engine reports this as [`CpmError::InvalidDim`]).
-    pub fn regrid_to(&mut self, new_dim: u32) -> usize {
-        self.engine
-            .regrid_to(new_dim)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Number of installed queries.
-    #[must_use]
-    pub fn query_count(&self) -> usize {
-        self.engine.query_count()
-    }
-
-    /// Install a continuous k-NN query.
-    ///
-    /// # Panics
-    /// Panics if `id` is already installed or `k == 0` (legacy monitor
-    /// surface; the underlying [`ShardedCpmEngine::install`] reports both
-    /// as [`crate::CpmError`]).
-    pub fn install_query(&mut self, id: QueryId, pos: Point, k: usize) -> &[Neighbor] {
-        self.engine
-            .install(id, PointQuery(pos), k)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Terminate query `id`; returns `true` if it was installed.
-    pub fn terminate_query(&mut self, id: QueryId) -> bool {
-        self.engine.terminate(id).is_ok()
-    }
-
-    /// The current result of query `id`, ascending by distance.
-    #[must_use]
-    pub fn result(&self, id: QueryId) -> Option<&[Neighbor]> {
-        self.engine.result(id)
-    }
-
-    /// Full book-keeping state of query `id`.
-    #[must_use]
-    pub fn query_state(&self, id: QueryId) -> Option<&SpecQueryState<PointQuery>> {
-        self.engine.query_state(id)
-    }
-
-    /// Merged snapshot of the work counters (see
-    /// [`ShardedCpmEngine::metrics`]).
-    #[must_use]
-    pub fn metrics(&self) -> Metrics {
-        self.engine.metrics()
-    }
-
-    /// Take and reset the work counters of every shard.
-    pub fn take_metrics(&mut self) -> Metrics {
-        self.engine.take_metrics()
-    }
-
-    /// Run one processing cycle over the paper's k-NN event vocabulary.
-    /// Returns ids of queries whose result changed, ascending by id.
-    pub fn process_cycle(
-        &mut self,
-        object_events: &[ObjectEvent],
-        query_events: &[QueryEvent],
-    ) -> Vec<QueryId> {
-        self.event_buf.clear();
-        self.event_buf
-            .extend(query_events.iter().map(|ev| match *ev {
-                QueryEvent::Install { id, pos, k } => SpecEvent::Install {
-                    id,
-                    spec: PointQuery(pos),
-                    k,
-                },
-                QueryEvent::Move { id, to } => SpecEvent::Update {
-                    id,
-                    spec: PointQuery(to),
-                },
-                QueryEvent::Terminate { id } => SpecEvent::Terminate { id },
-            }));
-        let events = std::mem::take(&mut self.event_buf);
-        let changed = self.engine.process_cycle(object_events, &events);
-        self.event_buf = events;
-        changed
-    }
-
-    /// Total memory footprint in the paper's memory units (Section 4.1).
-    #[must_use]
-    pub fn space_units(&self) -> usize {
-        self.engine.space_units()
-    }
-
-    /// Verify all cross-structure invariants (test helper).
-    #[doc(hidden)]
-    pub fn check_invariants(&self) {
-        self.engine.check_invariants();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CpmKnnMonitor;
+    use crate::engine::PointQuery;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -772,24 +614,24 @@ mod tests {
         }
     }
 
-    /// The sharded monitor must agree bit-for-bit with the specialized
-    /// sequential k-NN monitor on a random stream, for every shard count.
+    /// Every shard count must agree bit-for-bit with the sequential
+    /// (one-shard) engine on a random stream.
     #[test]
-    fn sharded_matches_sequential_monitor() {
+    fn sharded_matches_sequential_engine() {
         let mut rng = StdRng::seed_from_u64(0x5AADED);
-        for shards in [1usize, 2, 4, 8] {
-            let mut seq = CpmKnnMonitor::new(16);
-            let mut par = ShardedKnnMonitor::new(16, shards);
+        for shards in [2usize, 4, 8] {
+            let mut seq: ShardedCpmEngine<PointQuery> = ShardedCpmEngine::new(16, 1);
+            let mut par: ShardedCpmEngine<PointQuery> = ShardedCpmEngine::new(16, shards);
             let objects: Vec<(ObjectId, Point)> = (0..80u32)
                 .map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen())))
                 .collect();
             seq.populate(objects.iter().copied());
             par.populate(objects.iter().copied());
             for qi in 0..12u32 {
-                let p = Point::new(rng.gen(), rng.gen());
+                let p = PointQuery(Point::new(rng.gen(), rng.gen()));
                 let k = 1 + qi as usize % 4;
-                seq.install_query(QueryId(qi), p, k);
-                par.install_query(QueryId(qi), p, k);
+                seq.install(QueryId(qi), p, k).unwrap();
+                par.install(QueryId(qi), p, k).unwrap();
             }
             for _cycle in 0..25 {
                 let mut events = Vec::new();
@@ -803,9 +645,8 @@ mod tests {
                         });
                     }
                 }
-                let mut seq_changed = seq.process_cycle(&events, &[]);
+                let seq_changed = seq.process_cycle(&events, &[]);
                 let par_changed = par.process_cycle(&events, &[]);
-                seq_changed.sort_unstable();
                 assert_eq!(seq_changed, par_changed, "changed sets diverged");
                 par.check_invariants();
                 for qi in 0..12u32 {
@@ -821,13 +662,14 @@ mod tests {
 
     #[test]
     fn metrics_merge_counts_ingest_once() {
-        let mut m = ShardedKnnMonitor::new(8, 4);
+        let mut m: ShardedCpmEngine<PointQuery> = ShardedCpmEngine::new(8, 4);
         m.populate([
             (ObjectId(0), Point::new(0.1, 0.1)),
             (ObjectId(1), Point::new(0.9, 0.9)),
         ]);
         for qi in 0..8u32 {
-            m.install_query(QueryId(qi), Point::new(0.5, 0.5), 1);
+            m.install(QueryId(qi), PointQuery(Point::new(0.5, 0.5)), 1)
+                .unwrap();
         }
         m.take_metrics();
         m.process_cycle(
@@ -846,12 +688,12 @@ mod tests {
 
     #[test]
     fn query_events_route_to_owning_shards() {
-        let mut m = ShardedKnnMonitor::new(16, 4);
+        let mut m: ShardedCpmEngine<PointQuery> = ShardedCpmEngine::new(16, 4);
         m.populate((0..50u32).map(|i| (ObjectId(i), Point::new(i as f64 / 50.0, 0.5))));
-        let installs: Vec<QueryEvent> = (0..20u32)
-            .map(|i| QueryEvent::Install {
+        let installs: Vec<SpecEvent<PointQuery>> = (0..20u32)
+            .map(|i| SpecEvent::Install {
                 id: QueryId(i),
-                pos: Point::new(i as f64 / 20.0, 0.5),
+                spec: PointQuery(Point::new(i as f64 / 20.0, 0.5)),
                 k: 3,
             })
             .collect();
@@ -861,24 +703,22 @@ mod tests {
         assert_eq!(m.query_count(), 20);
         m.check_invariants();
 
-        let moves: Vec<QueryEvent> = (0..20u32)
+        let moves = (0..20u32).step_by(2).map(|i| SpecEvent::Update {
+            id: QueryId(i),
+            spec: PointQuery(Point::new(1.0 - i as f64 / 20.0, 0.4)),
+        });
+        let terminates = (1..20u32)
             .step_by(2)
-            .map(|i| QueryEvent::Move {
-                id: QueryId(i),
-                to: Point::new(1.0 - i as f64 / 20.0, 0.4),
-            })
-            .collect();
-        let terminates: Vec<QueryEvent> = (1..20u32)
-            .step_by(2)
-            .map(|i| QueryEvent::Terminate { id: QueryId(i) })
-            .collect();
-        let mut events = moves;
-        events.extend(terminates);
+            .map(|i| SpecEvent::Terminate { id: QueryId(i) });
+        let events: Vec<SpecEvent<PointQuery>> = moves.chain(terminates).collect();
         let changed = m.process_cycle(&[], &events);
         assert_eq!(changed.len(), 10);
         assert_eq!(m.query_count(), 10);
         m.check_invariants();
-        assert!(m.terminate_query(QueryId(0)));
-        assert!(!m.terminate_query(QueryId(1)));
+        assert_eq!(m.terminate(QueryId(0)), Ok(()));
+        assert_eq!(
+            m.terminate(QueryId(1)),
+            Err(CpmError::UnknownQuery(QueryId(1)))
+        );
     }
 }

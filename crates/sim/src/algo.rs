@@ -8,7 +8,7 @@ use cpm_geom::{ObjectId, Point, QueryId};
 use cpm_grid::{Metrics, ObjectEvent, QueryEvent};
 
 use cpm_baselines::{SeaCnnMonitor, YpkCnnMonitor};
-use cpm_core::{CpmKnnMonitor, Neighbor, ShardedKnnMonitor};
+use cpm_core::{Neighbor, PointQuery, ShardedCpmEngine, SpecEvent};
 
 use crate::oracle::OracleMonitor;
 
@@ -42,7 +42,7 @@ impl AlgoKind {
     /// Instantiate a monitor over an empty `dim × dim` grid.
     pub fn build(self, dim: u32) -> Box<dyn KnnMonitorAlgo> {
         match self {
-            AlgoKind::Cpm => Box::new(CpmKnnMonitor::new(dim)),
+            AlgoKind::Cpm => Box::new(ShardedCpmEngine::<PointQuery>::new(dim, 1)),
             AlgoKind::Ypk => Box::new(YpkCnnMonitor::new(dim)),
             AlgoKind::Sea => Box::new(SeaCnnMonitor::new(dim)),
             AlgoKind::Oracle => Box::new(OracleMonitor::new()),
@@ -79,17 +79,40 @@ pub trait KnnMonitorAlgo {
     fn space_units(&self) -> usize;
 }
 
-impl KnnMonitorAlgo for CpmKnnMonitor {
+/// Translate the paper's k-NN query events into the engine's vocabulary:
+/// an install carries a [`PointQuery`], a move becomes a geometry update
+/// (terminate + reinstall, Section 3.3).
+pub fn knn_spec_events(events: &[QueryEvent]) -> Vec<SpecEvent<PointQuery>> {
+    events
+        .iter()
+        .map(|ev| match *ev {
+            QueryEvent::Install { id, pos, k } => SpecEvent::Install {
+                id,
+                spec: PointQuery(pos),
+                k,
+            },
+            QueryEvent::Move { id, to } => SpecEvent::Update {
+                id,
+                spec: PointQuery(to),
+            },
+            QueryEvent::Terminate { id } => SpecEvent::Terminate { id },
+        })
+        .collect()
+}
+
+/// CPM: the engine over point k-NN queries, sequential at one shard.
+impl KnnMonitorAlgo for ShardedCpmEngine<PointQuery> {
     fn name(&self) -> &'static str {
         AlgoKind::Cpm.label()
     }
 
     fn populate(&mut self, objects: &[(ObjectId, Point)]) {
-        CpmKnnMonitor::populate(self, objects.iter().copied());
+        ShardedCpmEngine::populate(self, objects.iter().copied());
     }
 
     fn install_query(&mut self, id: QueryId, pos: Point, k: usize) {
-        CpmKnnMonitor::install_query(self, id, pos, k);
+        self.install(id, PointQuery(pos), k)
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 
     fn process_cycle(
@@ -97,53 +120,19 @@ impl KnnMonitorAlgo for CpmKnnMonitor {
         object_events: &[ObjectEvent],
         query_events: &[QueryEvent],
     ) -> Vec<QueryId> {
-        CpmKnnMonitor::process_cycle(self, object_events, query_events)
+        ShardedCpmEngine::process_cycle(self, object_events, &knn_spec_events(query_events))
     }
 
     fn result(&self, id: QueryId) -> Option<&[Neighbor]> {
-        CpmKnnMonitor::result(self, id)
+        ShardedCpmEngine::result(self, id)
     }
 
     fn take_metrics(&mut self) -> Metrics {
-        CpmKnnMonitor::take_metrics(self)
+        ShardedCpmEngine::take_metrics(self)
     }
 
     fn space_units(&self) -> usize {
-        CpmKnnMonitor::space_units(self)
-    }
-}
-
-impl KnnMonitorAlgo for ShardedKnnMonitor {
-    fn name(&self) -> &'static str {
-        "CPM-sharded"
-    }
-
-    fn populate(&mut self, objects: &[(ObjectId, Point)]) {
-        ShardedKnnMonitor::populate(self, objects.iter().copied());
-    }
-
-    fn install_query(&mut self, id: QueryId, pos: Point, k: usize) {
-        ShardedKnnMonitor::install_query(self, id, pos, k);
-    }
-
-    fn process_cycle(
-        &mut self,
-        object_events: &[ObjectEvent],
-        query_events: &[QueryEvent],
-    ) -> Vec<QueryId> {
-        ShardedKnnMonitor::process_cycle(self, object_events, query_events)
-    }
-
-    fn result(&self, id: QueryId) -> Option<&[Neighbor]> {
-        ShardedKnnMonitor::result(self, id)
-    }
-
-    fn take_metrics(&mut self) -> Metrics {
-        ShardedKnnMonitor::take_metrics(self)
-    }
-
-    fn space_units(&self) -> usize {
-        ShardedKnnMonitor::space_units(self)
+        ShardedCpmEngine::space_units(self)
     }
 }
 

@@ -31,7 +31,7 @@ pub mod runner;
 pub mod stream;
 pub mod viz;
 
-pub use algo::{AlgoKind, KnnMonitorAlgo};
+pub use algo::{knn_spec_events, AlgoKind, KnnMonitorAlgo};
 pub use cluster::{
     verify_cluster, verify_cluster_pipelined, verify_cluster_tcp, verify_cluster_tcp_pipelined,
 };

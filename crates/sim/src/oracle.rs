@@ -15,7 +15,7 @@ use crate::algo::{AlgoKind, KnnMonitorAlgo};
 
 /// Ground truth for a continuous range query over an explicit object
 /// population: every object inside the region, ascending by `(distance to
-/// the region anchor, id)` — the exact order
+/// [`cpm_core::RangeQuery`] results and range subscriptions report.
 /// [`cpm_core::CpmRangeMonitor`] and range subscriptions report.
 pub fn brute_force_range<I: IntoIterator<Item = (ObjectId, Point)>>(
     objects: I,

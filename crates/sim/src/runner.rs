@@ -110,8 +110,9 @@ pub fn run_boxed(monitor: &mut dyn KnnMonitorAlgo, input: &SimulationInput) -> R
 /// Run the sharded CPM monitor with `shards` query shards over `input`
 /// (`shards = 1` is the sequential engine path — no worker threads).
 pub fn run_sharded(input: &SimulationInput, shards: usize) -> RunReport {
-    let mut monitor = cpm_core::ShardedKnnMonitor::new(input.params.grid_dim, shards);
-    run_boxed(&mut monitor, input)
+    let mut engine: cpm_core::ShardedCpmEngine<cpm_core::PointQuery> =
+        cpm_core::ShardedCpmEngine::new(input.params.grid_dim, shards);
+    run_boxed(&mut engine, input)
 }
 
 /// Replay `input` into the sequential engine (one shard) and into a
@@ -127,12 +128,13 @@ pub fn run_sharded(input: &SimulationInput, shards: usize) -> RunReport {
 /// and, at the end of the run, that the sequential results match the
 /// brute-force oracle by distance. Panics on any divergence.
 pub fn verify_sharded_determinism(input: &SimulationInput, shard_counts: &[usize]) {
-    use cpm_core::ShardedKnnMonitor;
+    use cpm_core::{PointQuery, ShardedCpmEngine};
 
-    let mut sequential = ShardedKnnMonitor::new(input.params.grid_dim, 1);
-    let mut sharded: Vec<ShardedKnnMonitor> = shard_counts
+    let mut sequential: ShardedCpmEngine<PointQuery> =
+        ShardedCpmEngine::new(input.params.grid_dim, 1);
+    let mut sharded: Vec<ShardedCpmEngine<PointQuery>> = shard_counts
         .iter()
-        .map(|&s| ShardedKnnMonitor::new(input.params.grid_dim, s))
+        .map(|&s| ShardedCpmEngine::new(input.params.grid_dim, s))
         .collect();
 
     sequential.populate(input.initial_objects.iter().copied());
@@ -140,9 +142,11 @@ pub fn verify_sharded_determinism(input: &SimulationInput, shard_counts: &[usize
         m.populate(input.initial_objects.iter().copied());
     }
     for &(qid, pos, k) in &input.initial_queries {
-        sequential.install_query(qid, pos, k);
+        sequential
+            .install(qid, PointQuery(pos), k)
+            .expect("fresh query id");
         for m in sharded.iter_mut() {
-            m.install_query(qid, pos, k);
+            m.install(qid, PointQuery(pos), k).expect("fresh query id");
         }
     }
 
@@ -159,10 +163,11 @@ pub fn verify_sharded_determinism(input: &SimulationInput, shard_counts: &[usize
                 cpm_grid::QueryEvent::Move { .. } => {}
             }
         }
-        let changed_seq = sequential.process_cycle(&tick.object_events, &tick.query_events);
+        let query_events = crate::knn_spec_events(&tick.query_events);
+        let changed_seq = sequential.process_cycle(&tick.object_events, &query_events);
         let metrics_seq = sequential.take_metrics();
         for (m, &shards) in sharded.iter_mut().zip(shard_counts) {
-            let changed = m.process_cycle(&tick.object_events, &tick.query_events);
+            let changed = m.process_cycle(&tick.object_events, &query_events);
             assert_eq!(
                 changed_seq, changed,
                 "changed sets diverged at t={t} with {shards} shards"
@@ -344,27 +349,9 @@ pub fn verify_delta_replay(input: &SimulationInput, shard_counts: &[usize]) {
 /// per-query results; at the end, lane results are checked against a
 /// brute-force oracle by distance. Panics on any divergence.
 pub fn verify_regrid(input: &SimulationInput, regrid_at: &[(usize, u32)], shard_counts: &[usize]) {
-    use cpm_core::{CycleDeltas, PointQuery, ShardedCpmEngine, SpecEvent};
+    use cpm_core::{CycleDeltas, PointQuery, ShardedCpmEngine};
     use cpm_geom::QueryId;
     use std::collections::BTreeMap;
-
-    let translate = |events: &[cpm_grid::QueryEvent]| -> Vec<SpecEvent<PointQuery>> {
-        events
-            .iter()
-            .map(|ev| match *ev {
-                cpm_grid::QueryEvent::Install { id, pos, k } => SpecEvent::Install {
-                    id,
-                    spec: PointQuery(pos),
-                    k,
-                },
-                cpm_grid::QueryEvent::Move { id, to } => SpecEvent::Update {
-                    id,
-                    spec: PointQuery(to),
-                },
-                cpm_grid::QueryEvent::Terminate { id } => SpecEvent::Terminate { id },
-            })
-            .collect()
-    };
 
     let mut lanes: Vec<ShardedCpmEngine<PointQuery>> = shard_counts
         .iter()
@@ -419,7 +406,7 @@ pub fn verify_regrid(input: &SimulationInput, regrid_at: &[(usize, u32)], shard_
                 }
             }
         }
-        let events = translate(&tick.query_events);
+        let events = crate::knn_spec_events(&tick.query_events);
         lanes[0].process_cycle_with_deltas_into(&tick.object_events, &events, &mut out);
         for (lane, &shards) in lanes.iter_mut().zip(shard_counts).skip(1) {
             let other = lane.process_cycle_with_deltas(&tick.object_events, &events);
@@ -488,28 +475,10 @@ pub fn verify_index(
     shard_counts: &[usize],
     snapshot_at: Option<usize>,
 ) {
-    use cpm_core::{CycleDeltas, EngineSnapshot, PointQuery, ShardedCpmEngine, SpecEvent};
+    use cpm_core::{CycleDeltas, EngineSnapshot, PointQuery, ShardedCpmEngine};
     use cpm_geom::QueryId;
     use cpm_grid::{DynIndex, GridBuilder, IndexKind, SpatialIndex};
     use std::collections::BTreeMap;
-
-    let translate = |events: &[cpm_grid::QueryEvent]| -> Vec<SpecEvent<PointQuery>> {
-        events
-            .iter()
-            .map(|ev| match *ev {
-                cpm_grid::QueryEvent::Install { id, pos, k } => SpecEvent::Install {
-                    id,
-                    spec: PointQuery(pos),
-                    k,
-                },
-                cpm_grid::QueryEvent::Move { id, to } => SpecEvent::Update {
-                    id,
-                    spec: PointQuery(to),
-                },
-                cpm_grid::QueryEvent::Terminate { id } => SpecEvent::Terminate { id },
-            })
-            .collect()
-    };
 
     struct Lane {
         label: String,
@@ -607,7 +576,7 @@ pub fn verify_index(
                 }
             }
         }
-        let events = translate(&tick.query_events);
+        let events = crate::knn_spec_events(&tick.query_events);
         reference.process_cycle_with_deltas_into(&tick.object_events, &events, &mut ref_out);
         for lane in lanes.iter_mut() {
             lane.engine
@@ -1151,7 +1120,7 @@ mod tests {
         let input = SimulationInput::generate(&tiny_params());
         let seq = run_sharded(&input, 1);
         let par = run_sharded(&input, 4);
-        assert_eq!(seq.algo, "CPM-sharded");
+        assert_eq!(seq.algo, "CPM");
         assert_eq!(seq.metrics, par.metrics, "sharding changed the work done");
         assert_eq!(seq.result_changes, par.result_changes);
     }

@@ -7,27 +7,21 @@
 //!
 //! Run with: `cargo run --release --example meeting_point`
 
-use cpm_suite::core::ann::{AggregateFn, AnnQuery, CpmAnnMonitor};
-use cpm_suite::core::SpecEvent;
+use cpm_suite::core::ann::{AggregateFn, AnnQuery};
+use cpm_suite::core::{AnnHandle, AnyQuerySpec, CpmServer, CpmServerBuilder, SpecEvent};
 use cpm_suite::geom::{ObjectId, Point, QueryId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+const AGGREGATES: [AggregateFn; 3] = [AggregateFn::Sum, AggregateFn::Max, AggregateFn::Min];
+
 fn main() {
     let mut rng = StdRng::seed_from_u64(42);
 
-    // 120 cafes scattered over the city (the data objects).
-    let cafes: Vec<(ObjectId, Point)> = (0..120u32)
-        .map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen())))
-        .collect();
-
-    // One monitor per aggregate (each owns its grid; cafes are static so
-    // the update streams are query-side only).
-    let mut monitors = [
-        (AggregateFn::Sum, CpmAnnMonitor::new(64)),
-        (AggregateFn::Max, CpmAnnMonitor::new(64)),
-        (AggregateFn::Min, CpmAnnMonitor::new(64)),
-    ];
+    // 120 cafes scattered over the city (the data objects). Cafes are
+    // static, so the update streams are query-side only.
+    let mut server = CpmServerBuilder::new(64).build();
+    server.populate((0..120u32).map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen()))));
 
     // Four friends start in different corners.
     let mut friends = vec![
@@ -37,14 +31,19 @@ fn main() {
         Point::new(0.12, 0.82),
     ];
 
-    let qid = QueryId(0);
-    for (f, m) in monitors.iter_mut() {
-        m.populate(cafes.iter().copied());
-        m.install_query(qid, AnnQuery::new(friends.clone(), *f), 1);
-    }
+    // One aggregate query per function, all on the one shared grid.
+    let handles: Vec<AnnHandle> = AGGREGATES
+        .iter()
+        .enumerate()
+        .map(|(i, &f)| {
+            server
+                .install_ann(QueryId(i as u32), AnnQuery::new(friends.clone(), f), 1)
+                .expect("fresh query id")
+        })
+        .collect();
 
     println!("step | best sum-cafe (total walk) | best max-cafe (latest arrival) | best min-cafe");
-    report(0, &monitors, qid);
+    report(0, &server, &handles);
 
     // The friends walk towards the center over ten steps, with drift.
     for step in 1..=10 {
@@ -57,33 +56,32 @@ fn main() {
                 p.y + (target.y - p.y) * 0.2 + jitter_y,
             );
         }
-        for (f, m) in monitors.iter_mut() {
-            // The query set moved: a SpecEvent::Update re-anchors the
-            // conceptual partitioning around the new MBR.
-            m.process_cycle(
-                &[],
-                &[SpecEvent::Update {
-                    id: qid,
-                    spec: AnnQuery::new(friends.clone(), *f),
-                }],
-            );
-        }
-        report(step, &monitors, qid);
+        // The query set moved: a SpecEvent::Update re-anchors the
+        // conceptual partitioning around the new MBR.
+        let updates: Vec<SpecEvent<AnyQuerySpec>> = AGGREGATES
+            .iter()
+            .enumerate()
+            .map(|(i, &f)| SpecEvent::Update {
+                id: QueryId(i as u32),
+                spec: AnyQuerySpec::Ann(AnnQuery::new(friends.clone(), f)),
+            })
+            .collect();
+        server
+            .process_cycle(&[], &updates)
+            .expect("valid query updates");
+        report(step, &server, &handles);
     }
 
-    for (f, m) in &monitors {
-        let metrics = m.metrics();
-        println!(
-            "{:?}: {} cell accesses, {} objects processed over the walk",
-            f, metrics.cell_accesses, metrics.objects_processed
-        );
-    }
+    let metrics = server.metrics();
+    println!(
+        "{} cell accesses, {} objects processed over the walk",
+        metrics.cell_accesses, metrics.objects_processed
+    );
 }
 
-fn report(step: usize, monitors: &[(AggregateFn, CpmAnnMonitor); 3], qid: QueryId) {
+fn report(step: usize, server: &CpmServer, handles: &[AnnHandle]) {
     let cell = |i: usize| {
-        let (_, m) = &monitors[i];
-        let n = &m.result(qid).unwrap()[0];
+        let n = &server.result(handles[i]).unwrap()[0];
         format!("cafe {:>3} ({:.3})", n.id.0, n.dist)
     };
     println!(

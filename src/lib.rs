@@ -10,10 +10,11 @@
 //! * [`grid`] — the main-memory object index with pluggable
 //!   [`SpatialIndex`] backends (uniform cells or adaptive quadtree,
 //!   selected via [`GridBuilder`]/[`IndexKind`]) ([`cpm_grid`]).
-//! * [`core`] — CPM itself: the unified multi-query [`core::CpmServer`]
-//!   facade (every query kind on one grid with one ingest pass per
-//!   cycle), continuous k-NN, aggregate-NN, constrained-NN, reverse-NN
-//!   and range monitoring, plus per-cycle result deltas ([`cpm_core`]).
+//! * [`core`] — CPM itself: one engine ([`core::ShardedCpmEngine`]) over
+//!   continuous k-NN, aggregate-NN, constrained-NN, reverse-NN and range
+//!   queries, the unified multi-query [`core::CpmServer`] facade on top
+//!   (every query kind on one grid with one ingest pass per cycle), plus
+//!   per-cycle result deltas ([`cpm_core`]).
 //! * [`sub`] — the delta-streaming subscription layer: epoch-numbered
 //!   hubs, per-subscription mailboxes, client-side replicas
 //!   ([`cpm_sub`]).
@@ -32,26 +33,28 @@
 //! ## Quickstart
 //!
 //! ```
-//! use cpm_suite::core::CpmKnnMonitor;
+//! use cpm_suite::core::CpmServerBuilder;
 //! use cpm_suite::geom::{ObjectId, Point, QueryId};
 //! use cpm_suite::grid::ObjectEvent;
 //!
-//! // A 128×128 grid over the unit square, three taxis, one query.
-//! let mut monitor = CpmKnnMonitor::new(128);
-//! monitor.populate([
+//! // A 128×128 grid over the unit square, three taxis, one k-NN query.
+//! let mut server = CpmServerBuilder::new(128).build();
+//! server.populate([
 //!     (ObjectId(0), Point::new(0.21, 0.35)),
 //!     (ObjectId(1), Point::new(0.57, 0.60)),
 //!     (ObjectId(2), Point::new(0.80, 0.10)),
 //! ]);
-//! monitor.install_query(QueryId(0), Point::new(0.5, 0.5), 2);
+//! let nearest = server.install_knn(QueryId(0), Point::new(0.5, 0.5), 2).unwrap();
 //!
 //! // Taxi 2 drives next to the query point.
-//! monitor.process_cycle(
-//!     &[ObjectEvent::Move { id: ObjectId(2), to: Point::new(0.52, 0.48) }],
-//!     &[],
-//! );
-//! let result = monitor.result(QueryId(0)).unwrap();
-//! assert_eq!(result[0].id, ObjectId(2));
+//! let changed = server
+//!     .process_cycle(
+//!         &[ObjectEvent::Move { id: ObjectId(2), to: Point::new(0.52, 0.48) }],
+//!         &[],
+//!     )
+//!     .unwrap();
+//! assert_eq!(changed, vec![QueryId(0)]);
+//! assert_eq!(server.result(nearest).unwrap()[0].id, ObjectId(2));
 //! ```
 
 #![warn(missing_docs)]

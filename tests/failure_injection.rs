@@ -1,9 +1,12 @@
 //! Failure injection and degenerate configurations: disappearance bursts,
 //! mass teleports, single-cell pile-ups, workspace corners/edges,
-//! out-of-range coordinates, and malformed event batches rejected at the
-//! unified server's ingest boundary.
+//! out-of-range coordinates, and malformed event batches or cycle calls
+//! in the wrong delta mode rejected at the unified server's boundary.
 
-use cpm_suite::core::{CpmError, CpmKnnMonitor, CpmServer, CpmServerBuilder};
+use cpm_suite::core::{
+    CpmError, CpmServer, CpmServerBuilder, CycleDeltas, DurableCpmServer, PointQuery,
+    ShardedCpmEngine,
+};
 use cpm_suite::geom::{ObjectId, Point, QueryId};
 use cpm_suite::grid::{ObjectEvent, QueryEvent};
 use cpm_suite::sim::{run, AlgoKind, KnnMonitorAlgo, OracleMonitor};
@@ -198,10 +201,12 @@ fn queries_on_corners_edges_and_cell_boundaries() {
 
 #[test]
 fn out_of_range_coordinates_are_clamped_not_fatal() {
-    let mut m = CpmKnnMonitor::new(16);
+    let mut m: ShardedCpmEngine<PointQuery> = ShardedCpmEngine::new(16, 1);
     m.populate([(ObjectId(0), Point::new(0.5, 0.5))]);
-    m.install_query(QueryId(0), Point::new(0.5, 0.5), 1);
-    // An update wildly outside the workspace is snapped to the boundary.
+    m.install(QueryId(0), PointQuery(Point::new(0.5, 0.5)), 1)
+        .unwrap();
+    // The engine snaps an update wildly outside the workspace to the
+    // boundary (the server surface rejects it instead; see below).
     m.process_cycle(
         &[ObjectEvent::Move {
             id: ObjectId(0),
@@ -326,6 +331,71 @@ fn server_rejects_malformed_event_batches_typed() {
     assert_eq!(s.epoch(), 1);
     let _ = changed;
     s.check_invariants();
+}
+
+/// A cycle call that does not match the server's delta mode is a typed
+/// error, returned before anything runs — and before a durable server
+/// journals the record.
+#[test]
+fn cycle_calls_in_the_wrong_delta_mode_fail_typed() {
+    let mv = [ObjectEvent::Move {
+        id: ObjectId(1),
+        to: Point::new(0.45, 0.5),
+    }];
+    let mut out = CycleDeltas::default();
+
+    // A plain server has no deltas to return.
+    let mut plain = small_server();
+    let baseline = plain.result(QueryId(0)).unwrap().to_vec();
+    let err = plain
+        .process_cycle_with_deltas_into(&mv, &[], &mut out)
+        .unwrap_err();
+    assert_eq!(
+        err,
+        CpmError::DeltaMode {
+            server_collects: false
+        }
+    );
+    assert!(err.to_string().contains("process_cycle"));
+    assert_eq!(plain.epoch(), 0);
+    assert_eq!(plain.result(QueryId(0)).unwrap(), baseline.as_slice());
+    assert_eq!(
+        plain.grid().position(ObjectId(1)),
+        Some(Point::new(0.05, 0.5))
+    );
+
+    // A delta-capturing server must not silently drop a cycle's deltas.
+    let mut capturing = CpmServerBuilder::new(16).deltas(true).build();
+    capturing.populate((0..20u32).map(|i| (ObjectId(i), Point::new(f64::from(i) / 20.0, 0.5))));
+    let _ = capturing
+        .install_knn(QueryId(0), Point::new(0.5, 0.5), 3)
+        .unwrap();
+    let err = capturing.process_cycle(&mv, &[]).unwrap_err();
+    assert_eq!(
+        err,
+        CpmError::DeltaMode {
+            server_collects: true
+        }
+    );
+    assert!(err.to_string().contains("process_cycle_with_deltas_into"));
+    assert_eq!(capturing.epoch(), 0);
+
+    // Wrapped in a durable server, neither call reaches the journal.
+    for (mut durable, with_deltas) in [
+        (DurableCpmServer::new(plain, 0), true),
+        (DurableCpmServer::new(capturing, 0), false),
+    ] {
+        let journal = durable.journal_bytes().to_vec();
+        let err = if with_deltas {
+            durable.process_cycle_with_deltas_into(&mv, &[], &mut out)
+        } else {
+            durable.process_cycle(&mv, &[]).map(|_| ())
+        };
+        assert!(matches!(err, Err(CpmError::DeltaMode { .. })));
+        assert_eq!(durable.journal_bytes(), journal.as_slice());
+        assert_eq!(durable.server().epoch(), 0);
+        durable.server().check_invariants();
+    }
 }
 
 #[test]

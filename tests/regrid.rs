@@ -10,10 +10,10 @@
 
 use std::collections::BTreeMap;
 
-use cpm_suite::core::{AutoRegridConfig, RegridPolicy, ShardedKnnMonitor};
+use cpm_suite::core::{AutoRegridConfig, PointQuery, RegridPolicy, ShardedCpmEngine};
 use cpm_suite::geom::{ObjectId, Point, QueryId};
 use cpm_suite::grid::{ObjectEvent, QueryEvent};
-use cpm_suite::sim::{verify_regrid, SimParams, SimulationInput, WorkloadKind};
+use cpm_suite::sim::{knn_spec_events, verify_regrid, SimParams, SimulationInput, WorkloadKind};
 use cpm_suite::sub::KnnSubscriptionHub;
 use proptest::prelude::*;
 
@@ -105,10 +105,10 @@ proptest! {
         n_queries in 2usize..8,
     ) {
         let dims = [8u32, 16, 32, 64, 128];
-        let mut pinned = ShardedKnnMonitor::new(16, 1);
-        let mut lanes: Vec<ShardedKnnMonitor> = SHARD_COUNTS
+        let mut pinned: ShardedCpmEngine<PointQuery> = ShardedCpmEngine::new(16, 1);
+        let mut lanes: Vec<ShardedCpmEngine<PointQuery>> = SHARD_COUNTS
             .iter()
-            .map(|&s| ShardedKnnMonitor::new(16, s))
+            .map(|&s| ShardedCpmEngine::new(16, s))
             .collect();
 
         // Initial population and queries.
@@ -128,7 +128,7 @@ proptest! {
         for m in lanes.iter_mut().chain([&mut pinned]) {
             m.populate(model.iter().map(|(&id, &p)| (ObjectId(id), p)));
             for &(qid, q, k) in &queries {
-                m.install_query(qid, q, k);
+                m.install(qid, PointQuery(q), k).unwrap();
             }
         }
 
@@ -141,22 +141,23 @@ proptest! {
             object_events: &mut Vec<ObjectEvent>,
             query_events: &mut Vec<QueryEvent>,
             regrid_dim: Option<u32>,
-            pinned: &mut ShardedKnnMonitor,
-            lanes: &mut [ShardedKnnMonitor],
+            pinned: &mut ShardedCpmEngine<PointQuery>,
+            lanes: &mut [ShardedCpmEngine<PointQuery>],
             model: &BTreeMap<u32, Point>,
             queries: &[(QueryId, Point, usize)],
         ) -> Result<(), proptest::test_runner::TestCaseError> {
             if let Some(dim) = regrid_dim {
                 for lane in lanes.iter_mut() {
-                    let migrated = lane.regrid_to(dim);
+                    let migrated = lane.regrid_to(dim).unwrap();
                     // A genuine dim change migrates exactly the live set.
                     prop_assert!(migrated == 0 || migrated == lane.grid().len());
                     lane.check_invariants();
                 }
             }
-            let changed_pinned = pinned.process_cycle(object_events, query_events);
+            let spec_events = knn_spec_events(query_events);
+            let changed_pinned = pinned.process_cycle(object_events, &spec_events);
             for lane in lanes.iter_mut() {
-                let changed = lane.process_cycle(object_events, query_events);
+                let changed = lane.process_cycle(object_events, &spec_events);
                 prop_assert_eq!(&changed_pinned, &changed, "changed lists diverged");
                 lane.check_invariants();
                 // Store invariance: the re-gridded lane's object table is
@@ -309,7 +310,7 @@ fn auto_policy_adapts_and_stays_bit_identical() {
     let input = SimulationInput::generate(&params);
 
     let build = |auto: bool| {
-        let mut m = ShardedKnnMonitor::new(params.grid_dim, 2);
+        let mut m: ShardedCpmEngine<PointQuery> = ShardedCpmEngine::new(params.grid_dim, 2);
         if auto {
             m.set_regrid_policy(RegridPolicy::Auto(AutoRegridConfig {
                 check_every: 3,
@@ -320,7 +321,7 @@ fn auto_policy_adapts_and_stays_bit_identical() {
         }
         m.populate(input.initial_objects.iter().copied());
         for &(qid, pos, k) in &input.initial_queries {
-            m.install_query(qid, pos, k);
+            m.install(qid, PointQuery(pos), k).unwrap();
         }
         m
     };
@@ -328,8 +329,9 @@ fn auto_policy_adapts_and_stays_bit_identical() {
     let mut adaptive = build(true);
     let mut dims_seen = std::collections::BTreeSet::new();
     for (t, tick) in input.ticks.iter().enumerate() {
-        let a = fixed.process_cycle(&tick.object_events, &tick.query_events);
-        let b = adaptive.process_cycle(&tick.object_events, &tick.query_events);
+        let query_events = knn_spec_events(&tick.query_events);
+        let a = fixed.process_cycle(&tick.object_events, &query_events);
+        let b = adaptive.process_cycle(&tick.object_events, &query_events);
         dims_seen.insert(adaptive.grid().dim());
         assert_eq!(a, b, "changed lists diverged at t={t}");
         for &(qid, _, _) in &input.initial_queries {

@@ -3,7 +3,7 @@
 //! changed sets, and per-cycle metrics totals to the sequential engine —
 //! parallelism may move work between threads, never change it.
 
-use cpm_suite::core::{CpmEngine, PointQuery, ShardedCpmEngine, SpecEvent};
+use cpm_suite::core::{PointQuery, ShardedCpmEngine, SpecEvent};
 use cpm_suite::geom::{ObjectId, Point, QueryId};
 use cpm_suite::grid::ObjectEvent;
 use cpm_suite::sim::{verify_sharded_determinism, SimParams, SimulationInput, WorkloadKind};
@@ -24,7 +24,7 @@ fn sharded_matches_sequential_under_heavy_query_movement() {
         let mut rng = StdRng::seed_from_u64(0x5EEA_0000 + trial);
         let dim = [8u32, 16, 64][trial as usize % 3];
 
-        let mut sequential: CpmEngine<PointQuery> = CpmEngine::new(dim);
+        let mut sequential: ShardedCpmEngine<PointQuery> = ShardedCpmEngine::new(dim, 1);
         let mut sharded: Vec<ShardedCpmEngine<PointQuery>> = shard_counts
             .iter()
             .map(|&s| ShardedCpmEngine::new(dim, s))
@@ -134,7 +134,7 @@ fn sharded_matches_sequential_on_generated_workloads() {
 /// Engine-level property test over the full event vocabulary, including
 /// object appear/disappear and query install/update/terminate (which the
 /// generated workloads do not exercise): random streams into the
-/// sequential `CpmEngine` and sharded engines must agree on every query's
+/// sequential (one-shard) engine and sharded engines must agree on every query's
 /// result (ids *and* distance bits), on the changed sets, and on the
 /// metrics totals at every cycle.
 #[test]
@@ -144,7 +144,7 @@ fn random_streams_with_churn_are_shard_invariant() {
         let mut rng = StdRng::seed_from_u64(0xD17E_0000 + trial);
         let dim = [8u32, 16, 64][trial as usize % 3];
 
-        let mut sequential: CpmEngine<PointQuery> = CpmEngine::new(dim);
+        let mut sequential: ShardedCpmEngine<PointQuery> = ShardedCpmEngine::new(dim, 1);
         let mut sharded: Vec<ShardedCpmEngine<PointQuery>> = shard_counts
             .iter()
             .map(|&s| ShardedCpmEngine::new(dim, s))

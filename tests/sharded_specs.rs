@@ -1,25 +1,26 @@
 //! Conformance of the non-point query specs — aggregate-NN, constrained,
-//! range, and reverse-NN — running under [`ShardedCpmEngine`]: for every
-//! shard count the results must be **bit-identical** to the sequential
-//! engine and correct against brute force, under object churn and moving
-//! queries. (The point-query/k-NN spec is covered by
-//! `tests/sharded_determinism.rs`.)
-//!
-//! [`ShardedCpmEngine`]: cpm_suite::core::ShardedCpmEngine
+//! range, and reverse-NN — served by [`CpmServer`] over the sharded
+//! engine: for every shard count the results must be **bit-identical** to
+//! the sequential (one-shard) server and correct against brute force,
+//! under object churn and moving queries. (The point-query/k-NN spec is
+//! covered by `tests/sharded_determinism.rs`.)
 
-use cpm_suite::core::ann::{AggregateFn, AnnQuery, CpmAnnMonitor};
-use cpm_suite::core::constrained::{ConstrainedQuery, CpmConstrainedMonitor};
-use cpm_suite::core::range::{CpmRangeMonitor, RangeQuery};
-use cpm_suite::core::rnn::CpmRnnMonitor;
-use cpm_suite::core::{Neighbor, SpecEvent};
+use cpm_suite::core::ann::{AggregateFn, AnnQuery};
+use cpm_suite::core::constrained::ConstrainedQuery;
+use cpm_suite::core::range::RangeQuery;
+use cpm_suite::core::{AnyQuerySpec, CpmServer, CpmServerBuilder, Neighbor, SpecEvent};
 use cpm_suite::geom::{ObjectId, Point, QueryId, Rect};
-use cpm_suite::grid::{ObjectEvent, QueryEvent};
+use cpm_suite::grid::ObjectEvent;
 use cpm_suite::sim::brute_force_range;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const SHARD_COUNTS: [usize; 3] = [2, 4, 8];
+
+fn server(shards: usize) -> CpmServer {
+    CpmServerBuilder::new(16).shards(shards).build()
+}
 
 /// Random object churn batch: moves, appearances, disappearances.
 fn churn(rng: &mut StdRng, live: &mut Vec<u32>, next: &mut u32) -> Vec<ObjectEvent> {
@@ -77,11 +78,8 @@ fn ann_specs_are_shard_invariant_and_correct() {
         let objects: Vec<(ObjectId, Point)> = (0..n_obj)
             .map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen())))
             .collect();
-        let mut sequential = CpmAnnMonitor::new(16);
-        let mut sharded: Vec<CpmAnnMonitor> = SHARD_COUNTS
-            .iter()
-            .map(|&s| CpmAnnMonitor::new_sharded(16, s))
-            .collect();
+        let mut sequential = server(1);
+        let mut sharded: Vec<CpmServer> = SHARD_COUNTS.iter().map(|&s| server(s)).collect();
         sequential.populate(objects.iter().copied());
         for m in sharded.iter_mut() {
             m.populate(objects.iter().copied());
@@ -93,9 +91,10 @@ fn ann_specs_are_shard_invariant_and_correct() {
                 .map(|_| Point::new(rng.gen(), rng.gen()))
                 .collect();
             let k = 1 + qi as usize % 3;
-            sequential.install_query(QueryId(qi), AnnQuery::new(pts.clone(), f), k);
+            let q = AnnQuery::new(pts.clone(), f);
+            let _ = sequential.install_ann(QueryId(qi), q.clone(), k).unwrap();
             for m in sharded.iter_mut() {
-                m.install_query(QueryId(qi), AnnQuery::new(pts.clone(), f), k);
+                let _ = m.install_ann(QueryId(qi), q.clone(), k).unwrap();
             }
             point_sets.push(pts);
         }
@@ -105,7 +104,7 @@ fn ann_specs_are_shard_invariant_and_correct() {
         for cycle in 0..20 {
             let events = churn(&mut rng, &mut live, &mut next);
             // Moving query sets: one random query moves most cycles.
-            let mut query_events: Vec<SpecEvent<AnnQuery>> = Vec::new();
+            let mut query_events: Vec<SpecEvent<AnyQuerySpec>> = Vec::new();
             if rng.gen_bool(0.7) {
                 let qi = rng.gen_range(0..6u32);
                 let pts: Vec<Point> = (0..point_sets[qi as usize].len())
@@ -114,14 +113,13 @@ fn ann_specs_are_shard_invariant_and_correct() {
                 point_sets[qi as usize] = pts.clone();
                 query_events.push(SpecEvent::Update {
                     id: QueryId(qi),
-                    spec: AnnQuery::new(pts, f),
+                    spec: AnyQuerySpec::Ann(AnnQuery::new(pts, f)),
                 });
             }
 
-            let mut changed_seq = sequential.process_cycle(&events, &query_events);
-            changed_seq.sort_unstable();
+            let changed_seq = sequential.process_cycle(&events, &query_events).unwrap();
             for (m, &shards) in sharded.iter_mut().zip(&SHARD_COUNTS) {
-                let changed = m.process_cycle(&events, &query_events);
+                let changed = m.process_cycle(&events, &query_events).unwrap();
                 assert_eq!(
                     changed_seq, changed,
                     "{f:?} changed diverged at cycle {cycle} with {shards} shards"
@@ -160,11 +158,8 @@ fn constrained_specs_are_shard_invariant_and_correct() {
     let objects: Vec<(ObjectId, Point)> = (0..n_obj)
         .map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen())))
         .collect();
-    let mut sequential = CpmConstrainedMonitor::new(16);
-    let mut sharded: Vec<CpmConstrainedMonitor> = SHARD_COUNTS
-        .iter()
-        .map(|&s| CpmConstrainedMonitor::new_sharded(16, s))
-        .collect();
+    let mut sequential = server(1);
+    let mut sharded: Vec<CpmServer> = SHARD_COUNTS.iter().map(|&s| server(s)).collect();
     sequential.populate(objects.iter().copied());
     for m in sharded.iter_mut() {
         m.populate(objects.iter().copied());
@@ -186,9 +181,11 @@ fn constrained_specs_are_shard_invariant_and_correct() {
     for qi in 0..8u32 {
         let q = random_query(&mut rng);
         let k = 1 + qi as usize % 4;
-        sequential.install_query(QueryId(qi), q.clone(), k);
+        let _ = sequential
+            .install_constrained(QueryId(qi), q.clone(), k)
+            .unwrap();
         for m in sharded.iter_mut() {
-            m.install_query(QueryId(qi), q.clone(), k);
+            let _ = m.install_constrained(QueryId(qi), q.clone(), k).unwrap();
         }
         queries.push(q);
     }
@@ -197,21 +194,20 @@ fn constrained_specs_are_shard_invariant_and_correct() {
     let mut next = n_obj;
     for cycle in 0..20 {
         let events = churn(&mut rng, &mut live, &mut next);
-        let mut query_events: Vec<SpecEvent<ConstrainedQuery>> = Vec::new();
+        let mut query_events: Vec<SpecEvent<AnyQuerySpec>> = Vec::new();
         if rng.gen_bool(0.7) {
             let qi = rng.gen_range(0..8u32);
             let q = random_query(&mut rng);
             queries[qi as usize] = q.clone();
             query_events.push(SpecEvent::Update {
                 id: QueryId(qi),
-                spec: q,
+                spec: AnyQuerySpec::Constrained(q),
             });
         }
 
-        let mut changed_seq = sequential.process_cycle(&events, &query_events);
-        changed_seq.sort_unstable();
+        let changed_seq = sequential.process_cycle(&events, &query_events).unwrap();
         for (m, &shards) in sharded.iter_mut().zip(&SHARD_COUNTS) {
-            let changed = m.process_cycle(&events, &query_events);
+            let changed = m.process_cycle(&events, &query_events).unwrap();
             assert_eq!(
                 changed_seq, changed,
                 "changed diverged at cycle {cycle} with {shards} shards"
@@ -250,11 +246,8 @@ fn range_specs_are_shard_invariant_and_correct() {
     let objects: Vec<(ObjectId, Point)> = (0..n_obj)
         .map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen())))
         .collect();
-    let mut sequential = CpmRangeMonitor::new(16);
-    let mut sharded: Vec<CpmRangeMonitor> = SHARD_COUNTS
-        .iter()
-        .map(|&s| CpmRangeMonitor::new_sharded(16, s))
-        .collect();
+    let mut sequential = server(1);
+    let mut sharded: Vec<CpmServer> = SHARD_COUNTS.iter().map(|&s| server(s)).collect();
     sequential.populate(objects.iter().copied());
     for m in sharded.iter_mut() {
         m.populate(objects.iter().copied());
@@ -274,9 +267,9 @@ fn range_specs_are_shard_invariant_and_correct() {
                 ),
             ))
         };
-        sequential.install_query(QueryId(qi), q);
+        let _ = sequential.install_range(QueryId(qi), q).unwrap();
         for m in sharded.iter_mut() {
-            m.install_query(QueryId(qi), q);
+            let _ = m.install_range(QueryId(qi), q).unwrap();
         }
         queries.push(q);
     }
@@ -285,21 +278,20 @@ fn range_specs_are_shard_invariant_and_correct() {
     let mut next = n_obj;
     for cycle in 0..20 {
         let events = churn(&mut rng, &mut live, &mut next);
-        let mut query_events: Vec<SpecEvent<RangeQuery>> = Vec::new();
+        let mut query_events: Vec<SpecEvent<AnyQuerySpec>> = Vec::new();
         if rng.gen_bool(0.7) {
             let qi = rng.gen_range(0..8u32);
             let q = RangeQuery::circle(Point::new(rng.gen(), rng.gen()), rng.gen_range(0.05..0.3));
             queries[qi as usize] = q;
             query_events.push(SpecEvent::Update {
                 id: QueryId(qi),
-                spec: q,
+                spec: AnyQuerySpec::Range(q),
             });
         }
 
-        let mut changed_seq = sequential.process_cycle(&events, &query_events);
-        changed_seq.sort_unstable();
+        let changed_seq = sequential.process_cycle(&events, &query_events).unwrap();
         for (m, &shards) in sharded.iter_mut().zip(&SHARD_COUNTS) {
-            let changed = m.process_cycle(&events, &query_events);
+            let changed = m.process_cycle(&events, &query_events).unwrap();
             assert_eq!(
                 changed_seq, changed,
                 "changed diverged at cycle {cycle} with {shards} shards"
@@ -326,7 +318,7 @@ fn range_specs_are_shard_invariant_and_correct() {
 
 /// Reverse-NN under sharding: the six sector-constrained candidate
 /// queries per RNN query are distributed across shards, and the verified
-/// RNN sets must match both the sequential monitor and brute force, with
+/// RNN sets must match both the sequential server and brute force, with
 /// moving queries.
 #[test]
 fn rnn_monitor_is_shard_invariant_and_correct() {
@@ -347,11 +339,8 @@ fn rnn_monitor_is_shard_invariant_and_correct() {
     let objects: Vec<(ObjectId, Point)> = (0..n_obj)
         .map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen())))
         .collect();
-    let mut sequential = CpmRnnMonitor::new(16);
-    let mut sharded: Vec<CpmRnnMonitor> = SHARD_COUNTS
-        .iter()
-        .map(|&s| CpmRnnMonitor::new_sharded(16, s))
-        .collect();
+    let mut sequential = server(1);
+    let mut sharded: Vec<CpmServer> = SHARD_COUNTS.iter().map(|&s| server(s)).collect();
     sequential.populate(objects.iter().copied());
     for m in sharded.iter_mut() {
         m.populate(objects.iter().copied());
@@ -362,10 +351,11 @@ fn rnn_monitor_is_shard_invariant_and_correct() {
         Point::new(rng.gen(), rng.gen()),
         Point::new(rng.gen(), rng.gen()),
     ];
+    let mut handles = Vec::new();
     for (qi, &p) in qpos.iter().enumerate() {
-        sequential.install_query(QueryId(qi as u32), p);
+        handles.push(sequential.install_rnn(QueryId(qi as u32), p).unwrap());
         for m in sharded.iter_mut() {
-            m.install_query(QueryId(qi as u32), p);
+            let _ = m.install_rnn(QueryId(qi as u32), p).unwrap();
         }
     }
 
@@ -373,28 +363,25 @@ fn rnn_monitor_is_shard_invariant_and_correct() {
     let mut next = n_obj;
     for cycle in 0..20 {
         let events = churn(&mut rng, &mut live, &mut next);
-        let mut query_events: Vec<QueryEvent> = Vec::new();
         if rng.gen_bool(0.4) {
-            let qi = rng.gen_range(0..3u32);
-            qpos[qi as usize] = Point::new(rng.gen(), rng.gen());
-            query_events.push(QueryEvent::Move {
-                id: QueryId(qi),
-                to: qpos[qi as usize],
-            });
+            let qi = rng.gen_range(0..3usize);
+            qpos[qi] = Point::new(rng.gen(), rng.gen());
+            for m in sharded.iter_mut().chain([&mut sequential]) {
+                m.update_rnn(handles[qi], qpos[qi]).unwrap();
+            }
         }
 
-        let mut changed_seq = sequential.process_cycle(&events, &query_events);
-        changed_seq.sort_unstable();
+        let changed_seq = sequential.process_cycle(&events, &[]).unwrap();
         for (m, &shards) in sharded.iter_mut().zip(&SHARD_COUNTS) {
-            let changed = m.process_cycle(&events, &query_events);
+            let changed = m.process_cycle(&events, &[]).unwrap();
             assert_eq!(
                 changed_seq, changed,
                 "changed diverged at cycle {cycle} with {shards} shards"
             );
             for qi in 0..3u32 {
                 assert_eq!(
-                    sequential.result(QueryId(qi)).unwrap(),
-                    m.result(QueryId(qi)).unwrap(),
+                    sequential.rnn_result(QueryId(qi)).unwrap(),
+                    m.rnn_result(QueryId(qi)).unwrap(),
                     "RNN set diverged for q{qi} at cycle {cycle} with {shards} shards"
                 );
             }
@@ -402,7 +389,7 @@ fn rnn_monitor_is_shard_invariant_and_correct() {
         let live_objs: Vec<(ObjectId, Point)> = sequential.grid().iter_objects().collect();
         for (qi, &p) in qpos.iter().enumerate() {
             assert_eq!(
-                sequential.result(QueryId(qi as u32)).unwrap(),
+                sequential.rnn_result(QueryId(qi as u32)).unwrap(),
                 brute_rnn(&live_objs, p),
                 "RNN oracle mismatch for q{qi} at cycle {cycle}"
             );

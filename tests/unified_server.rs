@@ -1,18 +1,18 @@
 //! Mixed-kind conformance for the unified [`CpmServer`] facade: one
 //! server hosting k-NN, range, aggregate-NN, constrained and reverse-NN
 //! queries on **one grid with one ingest pass per cycle** must be
-//! bit-identical to the dedicated per-kind monitors/engines and correct
+//! bit-identical to dedicated per-kind engines and correct
 //! against brute-force oracles — for shard counts S ∈ {1, 4}, with moving
 //! queries and mid-stream install/terminate.
 //!
 //! [`CpmServer`]: cpm_suite::core::CpmServer
 
-use cpm_suite::core::ann::{AggregateFn, AnnQuery, CpmAnnMonitor};
-use cpm_suite::core::constrained::{ConstrainedQuery, CpmConstrainedMonitor};
-use cpm_suite::core::range::{CpmRangeMonitor, RangeQuery};
+use cpm_suite::core::ann::{AggregateFn, AnnQuery};
+use cpm_suite::core::constrained::ConstrainedQuery;
+use cpm_suite::core::range::RangeQuery;
 use cpm_suite::core::server::QueryHandle;
 use cpm_suite::core::{
-    AnyQuerySpec, CpmError, CpmKnnMonitor, CpmServerBuilder, PointQuery, SpecEvent,
+    AnyQuerySpec, CpmError, CpmServerBuilder, PointQuery, ShardedCpmEngine, SpecEvent,
 };
 use cpm_suite::geom::{ObjectId, Point, QueryId, Rect};
 use cpm_suite::grid::{ObjectEvent, QueryKind};
@@ -97,43 +97,36 @@ fn one_cycle_one_ingest_regardless_of_kind_count() {
             "one server cycle must ingest the batch exactly once (shards={shards})"
         );
 
-        // Contrast: one dedicated monitor per kind pays the ingest per
-        // kind. (This is the workload the server exists to collapse.)
-        let mut knn = CpmKnnMonitor::new(32);
-        let mut range = CpmRangeMonitor::new(32);
-        let mut con = CpmConstrainedMonitor::new(32);
-        knn.populate(objects.iter().copied());
-        range.populate(objects.iter().copied());
-        con.populate(objects.iter().copied());
-        knn.install_query(QueryId(0), Point::new(0.4, 0.4), 4);
-        range.install_query(
-            QueryId(1),
-            RangeQuery::rect(Rect::new(Point::new(0.1, 0.1), Point::new(0.5, 0.5))),
-        );
-        con.install_query(
-            QueryId(2),
-            ConstrainedQuery::northeast_of(Point::new(0.5, 0.5)),
-            4,
-        );
-        knn.take_metrics();
-        range.take_metrics();
-        con.take_metrics();
-        knn.process_cycle(&events, &[]);
-        range.process_cycle(&events, &[]);
-        con.process_cycle(&events, &[]);
-        let mut split = knn.take_metrics();
-        split.merge(&range.take_metrics());
-        split.merge(&con.take_metrics());
+        // Contrast: one dedicated server per kind pays the ingest per
+        // kind. (This is the workload the shared server exists to
+        // collapse.)
+        let mut split = cpm_suite::grid::Metrics::default();
+        let kinds = [
+            AnyQuerySpec::Knn(PointQuery(Point::new(0.4, 0.4))),
+            AnyQuerySpec::Range(RangeQuery::rect(Rect::new(
+                Point::new(0.1, 0.1),
+                Point::new(0.5, 0.5),
+            ))),
+            AnyQuerySpec::Constrained(ConstrainedQuery::northeast_of(Point::new(0.5, 0.5))),
+        ];
+        for (i, spec) in kinds.into_iter().enumerate() {
+            let mut dedicated = CpmServerBuilder::new(32).shards(shards).build();
+            dedicated.populate(objects.iter().copied());
+            let _ = dedicated.install_spec(QueryId(i as u32), spec, 4).unwrap();
+            dedicated.take_metrics();
+            dedicated.process_cycle(&events, &[]).unwrap();
+            split.merge(&dedicated.take_metrics());
+        }
         assert_eq!(
             split.updates_applied,
             3 * events.len() as u64,
-            "three dedicated monitors pay the ingest three times"
+            "three dedicated servers pay the ingest three times"
         );
     }
 }
 
-/// Server results must be bit-identical to the per-kind monitors (the
-/// compat shims the old API exposed) on a shared random stream.
+/// Server results must be bit-identical to one dedicated engine per kind
+/// on a shared random stream.
 #[test]
 fn server_results_match_per_kind_monitors() {
     let mut rng = StdRng::seed_from_u64(0x0DD);
@@ -142,10 +135,10 @@ fn server_results_match_per_kind_monitors() {
             .map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen())))
             .collect();
         let mut server = CpmServerBuilder::new(16).shards(shards).build();
-        let mut knn = CpmKnnMonitor::new(16);
-        let mut range = CpmRangeMonitor::new_sharded(16, shards);
-        let mut ann = CpmAnnMonitor::new_sharded(16, shards);
-        let mut con = CpmConstrainedMonitor::new_sharded(16, shards);
+        let mut knn: ShardedCpmEngine<PointQuery> = ShardedCpmEngine::new(16, shards);
+        let mut range: ShardedCpmEngine<RangeQuery> = ShardedCpmEngine::new(16, shards);
+        let mut ann: ShardedCpmEngine<AnnQuery> = ShardedCpmEngine::new(16, shards);
+        let mut con: ShardedCpmEngine<ConstrainedQuery> = ShardedCpmEngine::new(16, shards);
         server.populate(objects.iter().copied());
         knn.populate(objects.iter().copied());
         range.populate(objects.iter().copied());
@@ -155,16 +148,19 @@ fn server_results_match_per_kind_monitors() {
         let knn_h = server
             .install_knn(QueryId(0), Point::new(0.35, 0.65), 5)
             .unwrap();
-        knn.install_query(QueryId(0), Point::new(0.35, 0.65), 5);
+        knn.install(QueryId(0), PointQuery(Point::new(0.35, 0.65)), 5)
+            .unwrap();
         let range_q = RangeQuery::circle(Point::new(0.5, 0.5), 0.25);
         let range_h = server.install_range(QueryId(1), range_q).unwrap();
-        range.install_query(QueryId(1), range_q);
+        range
+            .install(QueryId(1), range_q, RangeQuery::UNBOUNDED_K)
+            .unwrap();
         let ann_q = AnnQuery::new(
             vec![Point::new(0.2, 0.2), Point::new(0.8, 0.6)],
             AggregateFn::Sum,
         );
         let ann_h = server.install_ann(QueryId(2), ann_q.clone(), 3).unwrap();
-        ann.install_query(QueryId(2), ann_q, 3);
+        ann.install(QueryId(2), ann_q, 3).unwrap();
         let con_q = ConstrainedQuery::new(
             Point::new(0.5, 0.5),
             Rect::new(Point::new(0.4, 0.0), Point::new(1.0, 0.6)),
@@ -172,7 +168,7 @@ fn server_results_match_per_kind_monitors() {
         let con_h = server
             .install_constrained(QueryId(3), con_q.clone(), 3)
             .unwrap();
-        con.install_query(QueryId(3), con_q, 3);
+        con.install(QueryId(3), con_q, 3).unwrap();
 
         for _cycle in 0..25 {
             let mut events = Vec::new();
@@ -194,7 +190,7 @@ fn server_results_match_per_kind_monitors() {
             assert_eq!(
                 server.result(knn_h).unwrap(),
                 knn.result(QueryId(0)).unwrap(),
-                "k-NN diverged from CpmKnnMonitor (shards={shards})"
+                "k-NN diverged (shards={shards})"
             );
             assert_eq!(
                 server.result(range_h).unwrap(),
