@@ -273,7 +273,14 @@ pub struct SpecQueryState<S> {
     /// Pinwheel around the base block.
     pub pinwheel: Pinwheel,
     epoch: u64,
+    /// `best_dist` and the id of the k-th result entry at cycle start:
+    /// together the `(dist, id)` rank every departing member and arriving
+    /// object is compared against, so an exact tie at the k-th distance
+    /// resolves to the lower id, as a from-scratch search does. The id is
+    /// `u32::MAX` while the result is unfull (`bd_orig` is then `+∞`, so
+    /// it is never consulted for a finite distance).
     bd_orig: f64,
+    kth_orig: ObjectId,
     out_count: usize,
     in_list: InList,
     in_removed: bool,
@@ -301,6 +308,7 @@ impl<S: QuerySpec> SpecQueryState<S> {
             pinwheel: Pinwheel::around_cell(CellCoord::new(0, 0), dim),
             epoch: 0,
             bd_orig: f64::INFINITY,
+            kth_orig: ObjectId(u32::MAX),
             out_count: 0,
             in_list: InList::with_cap(k),
             in_removed: false,
@@ -885,13 +893,15 @@ impl<S: QuerySpec> EngineCore<S> {
                 st.in_removed = true;
             }
             if st.best.contains(id) {
-                // `is_finite` mirrors the arrival guard: with an unfull
-                // result `bd_orig` is +∞, and a member moving somewhere it
-                // can never qualify (outside a constraint/range region,
+                // A member stays only if it still ranks at or before the
+                // cycle-start k-th entry by `(dist, id)`. `is_finite`
+                // mirrors the arrival guard: with an unfull result
+                // `bd_orig` is +∞, and a member moving somewhere it can
+                // never qualify (outside a constraint/range region,
                 // dist = +∞) must be outgoing, not kept at rank ∞.
                 let still_in = new_pos
                     .map(|p| st.spec.dist(p))
-                    .filter(|d| d.is_finite() && *d <= st.bd_orig);
+                    .filter(|&d| d.is_finite() && (d, id) <= (st.bd_orig, st.kth_orig));
                 let old_entry = match still_in {
                     Some(d) => st.best.update_dist(id, d),
                     None => {
@@ -923,7 +933,10 @@ impl<S: QuerySpec> EngineCore<S> {
             let st = self.queries.get_mut(&qid).expect("influence list in sync");
             Self::touch(st, self.epoch, &mut self.touched);
             let d = st.spec.dist(new_pos);
-            if d <= st.bd_orig && d.is_finite() && !st.best.contains(id) {
+            // An incomer must rank strictly before the cycle-start k-th
+            // entry by `(dist, id)`; a tie at `bd_orig` with a higher id
+            // loses to the incumbent, exactly as in a fresh search.
+            if d.is_finite() && (d, id) < (st.bd_orig, st.kth_orig) && !st.best.contains(id) {
                 st.in_list.update(id, d);
             }
         }
@@ -933,6 +946,10 @@ impl<S: QuerySpec> EngineCore<S> {
         if st.epoch != epoch {
             st.epoch = epoch;
             st.bd_orig = st.best_dist();
+            st.kth_orig = match st.best.neighbors() {
+                [.., kth] if st.best.is_full() => kth.id,
+                _ => ObjectId(u32::MAX),
+            };
             st.out_count = 0;
             st.in_list.clear();
             st.in_removed = false;
@@ -1305,6 +1322,67 @@ mod tests {
             &[],
         );
         assert_eq!(e.result(QueryId(0)).unwrap().len(), 1);
+        e.check_invariants();
+    }
+
+    /// The canonical result a from-scratch search computes over the
+    /// engine's current objects.
+    fn fresh_ids(e: &Engine, q: Point, k: usize) -> Vec<ObjectId> {
+        let mut fresh = Engine::new(e.grid().dim(), 1);
+        fresh.populate(e.grid().iter_objects());
+        let result = fresh.install(QueryId(0), PointQuery(q), k).unwrap();
+        result.iter().map(|n| n.id).collect()
+    }
+
+    fn ids(e: &Engine, qid: QueryId) -> Vec<ObjectId> {
+        e.result(qid).unwrap().iter().map(|n| n.id).collect()
+    }
+
+    /// k = 2 around q = (0.5, 0.5): the k-th member and one non-member
+    /// tie at exactly 0.25, and the lower id wins.
+    fn tie_engine(near: u32, kth: u32, tied: u32) -> (Engine, Point) {
+        let q = Point::new(0.5, 0.5);
+        let mut e = Engine::new(8, 1);
+        e.populate([
+            (ObjectId(near), Point::new(0.6, 0.5)),
+            (ObjectId(kth), Point::new(0.75, 0.5)),
+            (ObjectId(tied), Point::new(0.5, 0.75)),
+        ]);
+        e.install(QueryId(0), PointQuery(q), 2).unwrap();
+        assert_eq!(ids(&e, QueryId(0)), vec![ObjectId(near), ObjectId(kth)]);
+        (e, q)
+    }
+
+    #[test]
+    fn member_moving_onto_the_kth_distance_loses_the_id_tie() {
+        // #9 (a member) moves to exactly the k-th distance; #2 (the k-th
+        // entry) and #4 (a non-member) already sit there, so the canonical
+        // result is {#2, #4}, not {#2, #9}.
+        let (mut e, q) = tie_engine(9, 2, 4);
+        e.process_cycle(&[mv(9, Point::new(0.25, 0.5))], &[]);
+        assert_eq!(ids(&e, QueryId(0)), vec![ObjectId(2), ObjectId(4)]);
+        assert_eq!(ids(&e, QueryId(0)), fresh_ids(&e, q, 2));
+        e.check_invariants();
+    }
+
+    #[test]
+    fn incomer_at_the_kth_distance_loses_the_id_tie() {
+        // The k-th entry #2 leaves while #7 appears at exactly its
+        // distance; #5 (a non-member at that distance) has the lower id,
+        // so the canonical result is {#1, #5}, not {#1, #7}.
+        let (mut e, q) = tie_engine(1, 2, 5);
+        e.process_cycle(
+            &[
+                mv(2, Point::new(0.05, 0.05)),
+                ObjectEvent::Appear {
+                    id: ObjectId(7),
+                    pos: Point::new(0.5, 0.25),
+                },
+            ],
+            &[],
+        );
+        assert_eq!(ids(&e, QueryId(0)), vec![ObjectId(1), ObjectId(5)]);
+        assert_eq!(ids(&e, QueryId(0)), fresh_ids(&e, q, 2));
         e.check_invariants();
     }
 
