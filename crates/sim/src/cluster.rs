@@ -38,6 +38,8 @@ use cpm_sub::DeltaFanout;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::Placement;
+
 /// Horizontal centers of the four ownership strips the workload pins its
 /// query anchors to (the `workers = 4` tiling; coarser tilings contain
 /// these strips whole, so anchors stay owned by one worker either way).
@@ -143,6 +145,7 @@ fn build_workload(
     n_objects: u32,
     cycles: usize,
     installs: &[SpecEvent<AnyQuerySpec>],
+    placement: Placement,
 ) -> Vec<CycleWork> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xD15C_0CA7);
     let mut live: Vec<u32> = (0..n_objects).collect();
@@ -159,7 +162,7 @@ fn build_workload(
                 for &id in &live {
                     object_events.push(ObjectEvent::Appear {
                         id: ObjectId(id),
-                        pos: Point::new(rng.gen(), rng.gen()),
+                        pos: placement.draw(&mut rng),
                     });
                 }
             } else {
@@ -179,7 +182,7 @@ fn build_workload(
                             seen.insert(next_oid);
                             object_events.push(ObjectEvent::Appear {
                                 id: ObjectId(next_oid),
-                                pos: Point::new(rng.gen(), rng.gen()),
+                                pos: placement.draw(&mut rng),
                             });
                             next_oid += 1;
                         }
@@ -188,7 +191,7 @@ fn build_workload(
                             if seen.insert(id) {
                                 object_events.push(ObjectEvent::Move {
                                     id: ObjectId(id),
-                                    to: Point::new(rng.gen(), rng.gen()),
+                                    to: placement.draw(&mut rng),
                                 });
                             }
                         }
@@ -369,9 +372,14 @@ fn join_workers(handles: Vec<WorkerHandle>, label: &str) {
 /// `seed` × `worker_counts` entry × index backend, the merged delta
 /// stream, changed lists and replicated final results must be
 /// bit-identical to lane A's, across a mid-run snapshot-transfer restart
-/// of one worker. `grid_dim` must be a power of two ≥ 8 (the quadtree
-/// lane needs one) and worker counts must divide into at most 4 strips.
+/// of one worker. Objects are placed per `placement`;
+/// [`Placement::Stacked`] makes distances tie exactly at the k-th rank, so
+/// the restarted worker (rebuilt by from-scratch searches) must resolve
+/// every tie the way the single node's incremental maintenance does.
+/// `grid_dim` must be a power of two ≥ 8 (the quadtree lane needs one) and
+/// worker counts must divide into at most 4 strips.
 pub fn verify_cluster(
+    placement: Placement,
     n_objects: u32,
     cycles: usize,
     grid_dim: u32,
@@ -384,7 +392,7 @@ pub fn verify_cluster(
     for &seed in seeds {
         let installs = build_installs(seed);
         let extra = extra_install(seed);
-        let work = build_workload(seed, n_objects, cycles, &installs);
+        let work = build_workload(seed, n_objects, cycles, &installs, placement);
         for index in [IndexKind::Uniform, IndexKind::quadtree()] {
             let (final_server, reference) = reference_run(&work, extra_at, &extra, grid_dim, index);
             for &workers in worker_counts {
@@ -555,7 +563,7 @@ pub fn verify_cluster_pipelined(
     for &seed in seeds {
         let installs = build_installs(seed);
         let extra = extra_install(seed);
-        let work = build_workload(seed, n_objects, cycles, &installs);
+        let work = build_workload(seed, n_objects, cycles, &installs, Placement::Uniform);
         for index in [IndexKind::Uniform, IndexKind::quadtree()] {
             let (final_server, reference) = reference_run(&work, extra_at, &extra, grid_dim, index);
             for &workers in worker_counts {
@@ -612,7 +620,7 @@ pub fn verify_cluster_tcp_pipelined(
     let installs = build_installs(seed);
     let extra = extra_install(seed);
     let extra_at = cycles / 2;
-    let work = build_workload(seed, n_objects, cycles, &installs);
+    let work = build_workload(seed, n_objects, cycles, &installs, Placement::Uniform);
     let (final_server, reference) =
         reference_run(&work, extra_at, &extra, grid_dim, IndexKind::Uniform);
     let label = format!("tcp pipelined seed {seed}/{workers} workers");
@@ -650,7 +658,7 @@ pub fn verify_cluster_tcp(n_objects: u32, cycles: usize, grid_dim: u32, seed: u6
     let installs = build_installs(seed);
     let extra = extra_install(seed);
     let extra_at = cycles / 2;
-    let work = build_workload(seed, n_objects, cycles, &installs);
+    let work = build_workload(seed, n_objects, cycles, &installs, Placement::Uniform);
     let (final_server, reference) =
         reference_run(&work, extra_at, &extra, grid_dim, IndexKind::Uniform);
     let label = format!("tcp seed {seed}/{workers} workers");
@@ -677,8 +685,8 @@ mod tests {
     #[test]
     fn workloads_are_deterministic() {
         let installs = build_installs(5);
-        let a = build_workload(5, 40, 8, &installs);
-        let b = build_workload(5, 40, 8, &installs);
+        let a = build_workload(5, 40, 8, &installs, Placement::Uniform);
+        let b = build_workload(5, 40, 8, &installs, Placement::Uniform);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.object_events, y.object_events);
@@ -690,7 +698,7 @@ mod tests {
 
     #[test]
     fn smoke_one_seed_two_workers() {
-        verify_cluster(80, 6, 16, &[3], &[2]);
+        verify_cluster(Placement::Uniform, 80, 6, 16, &[3], &[2]);
     }
 
     #[test]

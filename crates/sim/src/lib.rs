@@ -36,7 +36,7 @@ pub use cluster::{
     verify_cluster, verify_cluster_pipelined, verify_cluster_tcp, verify_cluster_tcp_pipelined,
 };
 pub use oracle::{brute_force_range, OracleMonitor};
-pub use params::{SimParams, WorkloadKind};
+pub use params::{Placement, SimParams, WorkloadKind};
 pub use recovery::verify_recovery;
 pub use runner::{
     run, run_boxed, run_contenders, run_sharded, verify_against_oracle, verify_delta_replay,

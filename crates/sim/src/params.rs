@@ -1,6 +1,8 @@
 //! Experiment parameters (Table 6.1) and scaling.
 
 use cpm_gen::{SpeedClass, WorkloadConfig};
+use cpm_geom::Point;
+use rand::Rng;
 
 /// Which workload model drives a simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,6 +34,36 @@ pub enum WorkloadKind {
 impl Default for WorkloadKind {
     fn default() -> Self {
         WorkloadKind::Network { grid_streets: 32 }
+    }
+}
+
+/// Where the conformance harnesses ([`crate::verify_recovery`],
+/// [`crate::verify_cluster`]) place objects.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Placement {
+    /// Independent uniform positions: exact distance ties have measure
+    /// zero.
+    #[default]
+    Uniform,
+    /// Every position is one of `side × side` shared lattice points, so
+    /// objects stack and distances tie exactly at every rank — the
+    /// pattern road-network objects form at intersections.
+    Stacked {
+        /// Lattice points per axis.
+        side: u32,
+    },
+}
+
+impl Placement {
+    /// Draw one object position.
+    pub fn draw<R: Rng>(self, rng: &mut R) -> Point {
+        match self {
+            Placement::Uniform => Point::new(rng.gen(), rng.gen()),
+            Placement::Stacked { side } => {
+                let at = |i: u32| (f64::from(i) + 0.5) / f64::from(side);
+                Point::new(at(rng.gen_range(0..side)), at(rng.gen_range(0..side)))
+            }
+        }
     }
 }
 

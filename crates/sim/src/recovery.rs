@@ -29,6 +29,8 @@ use cpm_grid::ObjectEvent;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::Placement;
+
 /// Ids of the persistent queries the workload tracks (mixed kinds).
 const KNN_IDS: [QueryId; 2] = [QueryId(0), QueryId(1)];
 const RANGE_IDS: [QueryId; 2] = [QueryId(10), QueryId(11)];
@@ -48,7 +50,12 @@ struct CycleWork {
 
 /// Build the whole run's workload up front, as plain data, so both lanes
 /// (and any redelivery) apply byte-for-byte identical inputs.
-fn build_workload(seed: u64, n_objects: u32, cycles: usize) -> Vec<CycleWork> {
+fn build_workload(
+    seed: u64,
+    n_objects: u32,
+    cycles: usize,
+    placement: Placement,
+) -> Vec<CycleWork> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_CAFE);
     let mut live: Vec<u32> = (0..n_objects).collect();
     let mut next_oid = n_objects;
@@ -76,7 +83,7 @@ fn build_workload(seed: u64, n_objects: u32, cycles: usize) -> Vec<CycleWork> {
                         seen.insert(next_oid);
                         object_events.push(ObjectEvent::Appear {
                             id: ObjectId(next_oid),
-                            pos: Point::new(rng.gen(), rng.gen()),
+                            pos: placement.draw(&mut rng),
                         });
                         next_oid += 1;
                     }
@@ -85,7 +92,7 @@ fn build_workload(seed: u64, n_objects: u32, cycles: usize) -> Vec<CycleWork> {
                         if seen.insert(id) {
                             object_events.push(ObjectEvent::Move {
                                 id: ObjectId(id),
-                                to: Point::new(rng.gen(), rng.gen()),
+                                to: placement.draw(&mut rng),
                             });
                         }
                     }
@@ -132,13 +139,19 @@ fn build_workload(seed: u64, n_objects: u32, cycles: usize) -> Vec<CycleWork> {
 }
 
 /// Build, populate and register the durable server both lanes start from.
-fn fresh_durable(seed: u64, n_objects: u32, grid_dim: u32, shards: usize) -> DurableCpmServer {
+fn fresh_durable(
+    seed: u64,
+    n_objects: u32,
+    grid_dim: u32,
+    shards: usize,
+    placement: Placement,
+) -> DurableCpmServer {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x000B_1EC7);
     let mut server = CpmServerBuilder::new(grid_dim)
         .shards(shards)
         .deltas(true)
         .build();
-    server.populate((0..n_objects).map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen()))));
+    server.populate((0..n_objects).map(|i| (ObjectId(i), placement.draw(&mut rng))));
     let mut durable = DurableCpmServer::new(server, 3);
     let _ = durable
         .install_knn(KNN_IDS[0], Point::new(0.3, 0.4), 3)
@@ -269,9 +282,14 @@ fn corrupt(plan: &FaultPlan, snapshot: &[u8], journal: &[u8]) -> (Vec<u8>, Vec<u
 /// Chaos-test crash recovery: for every `seed` × entry of
 /// `shard_counts`, run the two-lane protocol described in the
 /// [module docs](self) over `cycles` cycles of a mixed-kind workload on
-/// `n_objects` objects. Panics on any divergence; corrupted artifacts
-/// must surface as typed errors only.
+/// `n_objects` objects placed per `placement`. Panics on any divergence;
+/// corrupted artifacts must surface as typed errors only.
+///
+/// [`Placement::Stacked`] makes distances tie exactly at the k-th rank, so
+/// the recovered server (rebuilt by from-scratch searches) must resolve
+/// every tie the way the crashed server's incremental maintenance did.
 pub fn verify_recovery(
+    placement: Placement,
     n_objects: u32,
     cycles: usize,
     grid_dim: u32,
@@ -279,11 +297,11 @@ pub fn verify_recovery(
     shard_counts: &[usize],
 ) {
     for &seed in seeds {
-        let work = build_workload(seed, n_objects, cycles);
+        let work = build_workload(seed, n_objects, cycles, placement);
         let plan = FaultPlan::from_seed(seed, cycles as u32);
         for &shards in shard_counts {
             // Lane A: the uninterrupted reference run.
-            let mut lane_a = fresh_durable(seed, n_objects, grid_dim, shards);
+            let mut lane_a = fresh_durable(seed, n_objects, grid_dim, shards, placement);
             let mut outputs: Vec<CycleDeltas> = Vec::with_capacity(cycles);
             let mut artifacts: Vec<(Vec<u8>, Vec<u8>)> = Vec::with_capacity(cycles);
             for w in &work {
@@ -389,8 +407,8 @@ mod tests {
 
     #[test]
     fn workloads_are_deterministic() {
-        let a = build_workload(7, 40, 10);
-        let b = build_workload(7, 40, 10);
+        let a = build_workload(7, 40, 10, Placement::Uniform);
+        let b = build_workload(7, 40, 10, Placement::Uniform);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.object_events, y.object_events);
@@ -400,10 +418,10 @@ mod tests {
 
     #[test]
     fn frame_splitting_reassembles_exactly() {
-        let mut durable = fresh_durable(3, 30, 16, 1);
+        let mut durable = fresh_durable(3, 30, 16, 1, Placement::Uniform);
         // 7 cycles: not a multiple of the checkpoint interval (3), so
         // the run ends with journal traffic past the last checkpoint.
-        let work = build_workload(3, 30, 7);
+        let work = build_workload(3, 30, 7, Placement::Uniform);
         for w in &work {
             let _ = apply_cycle(&mut durable, w);
         }
@@ -415,6 +433,6 @@ mod tests {
 
     #[test]
     fn smoke_one_seed() {
-        verify_recovery(60, 8, 16, &[11], &[2]);
+        verify_recovery(Placement::Uniform, 60, 8, 16, &[11], &[2]);
     }
 }

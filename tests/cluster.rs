@@ -11,6 +11,7 @@ use cpm_suite::geom::{ObjectId, Point, QueryId};
 use cpm_suite::grid::ObjectEvent;
 use cpm_suite::sim::{
     verify_cluster, verify_cluster_pipelined, verify_cluster_tcp, verify_cluster_tcp_pipelined,
+    Placement,
 };
 use cpm_suite::sub::DeltaFanout;
 use cpm_suite::wire::cluster::{ClusterMsg, ClusterReject, TileRect};
@@ -23,7 +24,23 @@ use cpm_suite::wire::{Encode, WIRE_VERSION};
 /// result must be bit-identical to the single-node reference.
 #[test]
 fn cluster_is_bit_identical_to_single_node() {
-    verify_cluster(120, 10, 16, &[1, 5], &[1, 2, 4]);
+    verify_cluster(Placement::Uniform, 120, 10, 16, &[1, 5], &[1, 2, 4]);
+}
+
+/// The headline run with every object stacked on one of 9 shared points,
+/// so k-NN results tie exactly at the k-th distance: the restarted worker
+/// rebuilds its queries from scratch, and the merged stream must still
+/// equal the single node's bit for bit.
+#[test]
+fn stacked_objects_cluster_is_bit_identical_across_restart() {
+    verify_cluster(
+        Placement::Stacked { side: 3 },
+        120,
+        10,
+        16,
+        &[1, 5],
+        &[1, 2, 4],
+    );
 }
 
 /// The same protocol over real `std::net::TcpStream` loopback links.

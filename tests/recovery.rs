@@ -9,7 +9,7 @@ use cpm_suite::core::{
 };
 use cpm_suite::geom::{ObjectId, Point, QueryId};
 use cpm_suite::grid::ObjectEvent;
-use cpm_suite::sim::verify_recovery;
+use cpm_suite::sim::{verify_recovery, Placement};
 use cpm_suite::sub::{KnnSubscriptionHub, Replica, SubscriptionHub};
 use cpm_suite::wire::{decode_framed, encode_framed, Decode, WireError, FRAME_SNAPSHOT};
 
@@ -39,7 +39,17 @@ fn chaos_schedules_recover_bit_identically() {
         .map(|&s| cpm_suite::gen::FaultPlan::from_seed(s, 10).corruption)
         .collect();
     assert_eq!(classes.len(), 6, "seed range misses classes: {classes:?}");
-    verify_recovery(80, 10, 16, &seeds, &[1, 4]);
+    verify_recovery(Placement::Uniform, 80, 10, 16, &seeds, &[1, 4]);
+}
+
+/// The same chaos schedules with every object stacked on one of 9 shared
+/// points, so k-NN results tie exactly at the k-th distance: recovery
+/// rebuilds each query from scratch, and must still come back
+/// bit-identical to the server that maintained them incrementally.
+#[test]
+fn stacked_objects_recover_bit_identically() {
+    let seeds: Vec<u64> = (0..12).collect();
+    verify_recovery(Placement::Stacked { side: 3 }, 80, 10, 16, &seeds, &[1, 4]);
 }
 
 /// `checkpointed = true` folds the installs and cycles into the snapshot
