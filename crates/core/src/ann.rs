@@ -261,36 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn single_point_ann_equals_plain_nn() {
-        // With |Q| = 1 every aggregate degenerates to the Euclidean NN.
-        let mut rng = StdRng::seed_from_u64(7);
-        let objs: Vec<(ObjectId, Point)> = (0..40u32)
-            .map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen())))
-            .collect();
-        let qp = Point::new(0.4, 0.6);
-
-        // Both kinds share one grid: the plain k-NN query and one
-        // singleton aggregate query per function.
-        let mut server = CpmServerBuilder::new(16).build();
-        server.populate(objs.iter().copied());
-        let plain = server.install_knn(QueryId(0), qp, 5).unwrap();
-        let ids = |server: &CpmServer, id: QueryId| -> Vec<ObjectId> {
-            server.result(id).unwrap().iter().map(|n| n.id).collect()
-        };
-        let p = ids(&server, plain.into());
-        for (i, f) in [AggregateFn::Sum, AggregateFn::Min, AggregateFn::Max]
-            .into_iter()
-            .enumerate()
-        {
-            let id = QueryId(1 + i as u32);
-            let _ = server
-                .install_ann(id, AnnQuery::new(vec![qp], f), 5)
-                .unwrap();
-            assert_eq!(ids(&server, id), p, "aggregate {f:?}");
-        }
-    }
-
-    #[test]
     fn updates_maintain_ann_results() {
         let mut rng = StdRng::seed_from_u64(0xA55);
         for f in [AggregateFn::Sum, AggregateFn::Min, AggregateFn::Max] {

@@ -310,23 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn doc_example_shape() {
-        let mut m = CpmServerBuilder::new(64).build();
-        m.populate([
-            (ObjectId(0), Point::new(0.52, 0.50)),
-            (ObjectId(1), Point::new(0.80, 0.80)),
-            (ObjectId(2), Point::new(0.82, 0.80)),
-        ]);
-        let h = m.install_rnn(QueryId(0), Point::new(0.5, 0.5)).unwrap();
-        assert_eq!(m.rnn_result(h).unwrap(), &[ObjectId(0)]);
-        let objs = live_objects(&m);
-        assert_eq!(
-            m.rnn_result(h).unwrap(),
-            brute_rnn(&objs, Point::new(0.5, 0.5))
-        );
-    }
-
-    #[test]
     fn updates_track_brute_force() {
         let mut rng = StdRng::seed_from_u64(0x4E4E);
         for trial in 0..4 {

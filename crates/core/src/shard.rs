@@ -592,8 +592,6 @@ impl<S: QuerySpec + Send + Sync, I: SpatialIndex> ShardedCpmEngine<S, I> {
 mod tests {
     use super::*;
     use crate::engine::PointQuery;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
     #[test]
     fn shard_assignment_is_deterministic_and_balanced() {
@@ -610,52 +608,6 @@ mod tests {
                     c as f64 > expected as f64 * 0.8 && (c as f64) < expected as f64 * 1.2,
                     "imbalanced shards: {counts:?}"
                 );
-            }
-        }
-    }
-
-    /// Every shard count must agree bit-for-bit with the sequential
-    /// (one-shard) engine on a random stream.
-    #[test]
-    fn sharded_matches_sequential_engine() {
-        let mut rng = StdRng::seed_from_u64(0x5AADED);
-        for shards in [2usize, 4, 8] {
-            let mut seq: ShardedCpmEngine<PointQuery> = ShardedCpmEngine::new(16, 1);
-            let mut par: ShardedCpmEngine<PointQuery> = ShardedCpmEngine::new(16, shards);
-            let objects: Vec<(ObjectId, Point)> = (0..80u32)
-                .map(|i| (ObjectId(i), Point::new(rng.gen(), rng.gen())))
-                .collect();
-            seq.populate(objects.iter().copied());
-            par.populate(objects.iter().copied());
-            for qi in 0..12u32 {
-                let p = PointQuery(Point::new(rng.gen(), rng.gen()));
-                let k = 1 + qi as usize % 4;
-                seq.install(QueryId(qi), p, k).unwrap();
-                par.install(QueryId(qi), p, k).unwrap();
-            }
-            for _cycle in 0..25 {
-                let mut events = Vec::new();
-                let mut seen = std::collections::HashSet::new();
-                for _ in 0..rng.gen_range(0..10) {
-                    let id = rng.gen_range(0..80u32);
-                    if seen.insert(id) {
-                        events.push(ObjectEvent::Move {
-                            id: ObjectId(id),
-                            to: Point::new(rng.gen(), rng.gen()),
-                        });
-                    }
-                }
-                let seq_changed = seq.process_cycle(&events, &[]);
-                let par_changed = par.process_cycle(&events, &[]);
-                assert_eq!(seq_changed, par_changed, "changed sets diverged");
-                par.check_invariants();
-                for qi in 0..12u32 {
-                    assert_eq!(
-                        seq.result(QueryId(qi)).unwrap(),
-                        par.result(QueryId(qi)).unwrap(),
-                        "results diverged for query {qi} at {shards} shards"
-                    );
-                }
             }
         }
     }
