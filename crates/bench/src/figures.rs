@@ -538,19 +538,19 @@ pub fn ann(scale: f64) -> Table {
         for tick in &input.ticks {
             for ev in &tick.object_events {
                 match *ev {
-                    ObjectEvent::Move { id, to } => {
+                    cpm_grid::ObjectEvent::Move { id, to } => {
                         if id.index() >= positions.len() {
                             positions.resize(id.index() + 1, None);
                         }
                         positions[id.index()] = Some(to);
                     }
-                    ObjectEvent::Appear { id, pos } => {
+                    cpm_grid::ObjectEvent::Appear { id, pos } => {
                         if id.index() >= positions.len() {
                             positions.resize(id.index() + 1, None);
                         }
                         positions[id.index()] = Some(pos);
                     }
-                    ObjectEvent::Disappear { id } => positions[id.index()] = None,
+                    cpm_grid::ObjectEvent::Disappear { id } => positions[id.index()] = None,
                 }
             }
             for q in &specs {
@@ -624,19 +624,19 @@ pub fn constrained(scale: f64) -> Table {
     for tick in &input.ticks {
         for ev in &tick.object_events {
             match *ev {
-                ObjectEvent::Move { id, to } => {
+                cpm_grid::ObjectEvent::Move { id, to } => {
                     if id.index() >= positions.len() {
                         positions.resize(id.index() + 1, None);
                     }
                     positions[id.index()] = Some(to);
                 }
-                ObjectEvent::Appear { id, pos } => {
+                cpm_grid::ObjectEvent::Appear { id, pos } => {
                     if id.index() >= positions.len() {
                         positions.resize(id.index() + 1, None);
                     }
                     positions[id.index()] = Some(pos);
                 }
-                ObjectEvent::Disappear { id } => positions[id.index()] = None,
+                cpm_grid::ObjectEvent::Disappear { id } => positions[id.index()] = None,
             }
         }
         for q in &specs {
@@ -990,7 +990,7 @@ pub fn mixed(scale: f64) -> Table {
                 (p.y + rng.gen::<f64>() * step - step / 2.0).clamp(0.0, 1.0),
             );
             positions[i] = to;
-            events.push(ObjectEvent::Move {
+            events.push(cpm_grid::ObjectEvent::Move {
                 id: cpm_geom::ObjectId(i as u32),
                 to,
             });
@@ -1110,14 +1110,14 @@ pub fn rnn(scale: f64) -> Table {
     for tick in &input.ticks {
         for ev in &tick.object_events {
             match *ev {
-                ObjectEvent::Move { id, to } => positions[id.index()] = Some(to),
-                ObjectEvent::Appear { id, pos } => {
+                cpm_grid::ObjectEvent::Move { id, to } => positions[id.index()] = Some(to),
+                cpm_grid::ObjectEvent::Appear { id, pos } => {
                     if id.index() >= positions.len() {
                         positions.resize(id.index() + 1, None);
                     }
                     positions[id.index()] = Some(pos);
                 }
-                ObjectEvent::Disappear { id } => positions[id.index()] = None,
+                cpm_grid::ObjectEvent::Disappear { id } => positions[id.index()] = None,
             }
         }
         let live: Vec<Point> = positions.iter().flatten().copied().collect();
